@@ -7,42 +7,24 @@
 // a durable kill/resume via Lineage::Save/Load in the snapshot payload)
 // transfers to audit.bin with no extra machinery.
 //
-// Layout (all integers little-endian, fixed-width — core/binio.h rules):
-//
-//   [0,  8)  magic "SISYAUD1"
-//   [8, 12)  u32 version (1)
-//   [12,16)  u32 flags (0)
-//   [16,24)  u64 section_count
-//   [24,32)  u64 table_offset
-//   [32,40)  u64 file_size
-//   [40,48)  u64 header_checksum = FNV-1a over bytes [0, 40)
-//   ...      sections, each 8-byte aligned (zero padding between)
-//   table_offset:
-//            section_count entries of 40 bytes each:
-//              u64 kind, u64 run (~0 = global), u64 offset, u64 size,
-//              u64 checksum (FNV-1a over the section's bytes)
-//   ...      u64 table_checksum = FNV-1a over the table entry bytes
-//
-// A reader validates the header and table (O(index)), then verifies each
-// section checksum lazily on first access. Sections are 8-byte aligned so
-// the mmap'd columnar arrays can be read through typed pointers without
-// misaligned loads (UBSan-clean).
+// The file is a core/sectioned_file container (layout: DESIGN.md §12);
+// this header adds only the audit schema: magic, version, and section
+// kinds. Sections are 8-byte aligned so the mmap'd columnar arrays can be
+// read through typed pointers without misaligned loads (UBSan-clean).
 #pragma once
 
 #include <cstdint>
 
+#include "core/sectioned_file.h"
+
 namespace sisyphus::audit {
 
-inline constexpr char kAuditMagic[8] = {'S', 'I', 'S', 'Y',
-                                        'A', 'U', 'D', '1'};
-inline constexpr std::uint32_t kAuditVersion = 1;
+inline constexpr core::sectioned::Format kAuditFormat{"SISYAUD1", 1};
 inline constexpr const char* kAuditSchema = "sisyphus.audit/1";
 inline constexpr const char* kAuditFileName = "audit.bin";
 
-inline constexpr std::uint64_t kAuditHeaderSize = 48;
-inline constexpr std::uint64_t kAuditTableEntrySize = 40;
 /// `run` value marking a file-global section.
-inline constexpr std::uint64_t kAuditGlobalRun = ~std::uint64_t{0};
+inline constexpr std::uint64_t kAuditGlobalRun = core::sectioned::kGlobalRun;
 
 /// Section kinds. Per run the writer emits one of each run-scoped kind;
 /// kMeta is global. Unknown kinds are skipped by readers (forward
@@ -70,15 +52,6 @@ enum class SectionKind : std::uint64_t {
   /// Per run: units and vantages ranked by contributing records (the
   /// --top-k surface), precomputed at write time.
   kRankings = 7,
-};
-
-/// One decoded section-table entry.
-struct SectionEntry {
-  std::uint64_t kind = 0;
-  std::uint64_t run = kAuditGlobalRun;
-  std::uint64_t offset = 0;
-  std::uint64_t size = 0;
-  std::uint64_t checksum = 0;
 };
 
 }  // namespace sisyphus::audit

@@ -5,11 +5,10 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <cstring>
+#include <optional>
 #include <utility>
 
 #include "core/binio.h"
-#include "core/hash.h"
 
 namespace sisyphus::audit {
 namespace {
@@ -18,22 +17,6 @@ using core::Error;
 using core::ErrorCode;
 using core::Result;
 using core::Status;
-
-std::uint64_t ReadRawU64(const char* base, std::uint64_t offset) {
-  std::uint64_t v = 0;
-  std::memcpy(&v, base + offset, sizeof(v));
-  return v;
-}
-
-std::uint32_t ReadRawU32(const char* base, std::uint64_t offset) {
-  std::uint32_t v = 0;
-  std::memcpy(&v, base + offset, sizeof(v));
-  return v;
-}
-
-Error Malformed(const std::string& path, const std::string& what) {
-  return Error(ErrorCode::kParseError, "audit: " + path + ": " + what);
-}
 
 std::map<std::string, std::uint64_t> GetCountMap(core::binio::Reader& r) {
   std::map<std::string, std::uint64_t> out;
@@ -63,60 +46,55 @@ CompositionInfo GetComposition(core::binio::Reader& r) {
   return comp;
 }
 
-/// One slot of a sorted directory section (unit / estimate indexes).
-struct DirSlot {
-  std::uint64_t name_off = 0;
-  std::uint64_t name_len = 0;
-  std::uint64_t payload_off = 0;
-  std::uint64_t payload_len = 0;
-};
-
 /// Binary-searches a directory section for `name`; returns the payload
 /// bytes, or an empty view when absent, or an error when malformed.
+/// Layout: u64 count, then count slots of {name_off, name_len,
+/// payload_off, payload_len} (section-relative), then names and payloads.
 Result<std::string_view> DirectoryLookup(std::string_view section,
-                                         std::string_view name,
-                                         const std::string& path) {
-  if (section.size() < 8) return Malformed(path, "directory too small");
-  const char* base = section.data();
-  const std::uint64_t count = ReadRawU64(base, 0);
-  if (8 + count * 32 > section.size()) {
-    return Malformed(path, "directory slot table out of bounds");
+                                         std::string_view name) {
+  core::binio::Reader header(section);
+  const std::uint64_t count = header.GetU64();
+  if (!header.ok()) return Error(ErrorCode::kParseError, "directory too small");
+  if (count > (section.size() - 8) / 32) {
+    return Error(ErrorCode::kParseError, "directory slot table out of bounds");
   }
-  const auto slot_at = [&](std::uint64_t i) {
-    DirSlot slot;
-    slot.name_off = ReadRawU64(base, 8 + i * 32);
-    slot.name_len = ReadRawU64(base, 8 + i * 32 + 8);
-    slot.payload_off = ReadRawU64(base, 8 + i * 32 + 16);
-    slot.payload_len = ReadRawU64(base, 8 + i * 32 + 24);
-    return slot;
+  // Name and payload of slot i, or nullopt when either overruns.
+  struct Slot {
+    std::string_view name;
+    std::string_view payload;
   };
-  const auto name_at = [&](const DirSlot& slot) {
-    return std::string_view(base + slot.name_off,
-                            static_cast<std::size_t>(slot.name_len));
+  const auto slot_at = [&](std::uint64_t i) -> std::optional<Slot> {
+    core::binio::Reader r(section.substr(8 + i * 32, 32));
+    const std::uint64_t name_off = r.GetU64();
+    const std::uint64_t name_len = r.GetU64();
+    const std::uint64_t payload_off = r.GetU64();
+    const std::uint64_t payload_len = r.GetU64();
+    if (!core::sectioned::Fits(name_off, name_len, section.size()) ||
+        !core::sectioned::Fits(payload_off, payload_len, section.size())) {
+      return std::nullopt;
+    }
+    return Slot{section.substr(name_off, name_len),
+                section.substr(payload_off, payload_len)};
+  };
+  const auto out_of_bounds = [] {
+    return Error(ErrorCode::kParseError, "directory entry out of bounds");
   };
   std::uint64_t lo = 0, hi = count;
   while (lo < hi) {
     const std::uint64_t mid = lo + (hi - lo) / 2;
-    const DirSlot slot = slot_at(mid);
-    if (slot.name_off + slot.name_len > section.size() ||
-        slot.payload_off + slot.payload_len > section.size()) {
-      return Malformed(path, "directory entry out of bounds");
-    }
-    if (name_at(slot) < name) {
+    const std::optional<Slot> slot = slot_at(mid);
+    if (!slot) return out_of_bounds();
+    if (slot->name < name) {
       lo = mid + 1;
     } else {
       hi = mid;
     }
   }
   if (lo >= count) return std::string_view();
-  const DirSlot slot = slot_at(lo);
-  if (slot.name_off + slot.name_len > section.size() ||
-      slot.payload_off + slot.payload_len > section.size()) {
-    return Malformed(path, "directory entry out of bounds");
-  }
-  if (name_at(slot) != name) return std::string_view();
-  return std::string_view(base + slot.payload_off,
-                          static_cast<std::size_t>(slot.payload_len));
+  const std::optional<Slot> slot = slot_at(lo);
+  if (!slot) return out_of_bounds();
+  if (slot->name != name) return std::string_view();
+  return slot->payload;  // non-null: it points into the section
 }
 
 }  // namespace
@@ -129,13 +107,17 @@ void AuditReader::Close() {
     map_ = nullptr;
     map_size_ = 0;
   }
-  table_.clear();
-  verified_.clear();
+  file_ = core::sectioned::Reader();
   runs_.clear();
+}
+
+Error AuditReader::Malformed(const std::string& what) const {
+  return Error(ErrorCode::kParseError, "audit: " + path_ + ": " + what);
 }
 
 Status AuditReader::Open(const std::string& path) {
   Close();
+  path_ = path;
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
     return Error(ErrorCode::kNotFound, "audit: cannot open " + path);
@@ -143,103 +125,50 @@ Status AuditReader::Open(const std::string& path) {
   struct stat st {};
   if (::fstat(fd, &st) != 0 || st.st_size < 0) {
     ::close(fd);
-    return Malformed(path, "cannot stat");
+    return Malformed("cannot stat");
   }
   const std::size_t size = static_cast<std::size_t>(st.st_size);
-  if (size < kAuditHeaderSize) {
-    ::close(fd);
-    return Malformed(path, "truncated header (file smaller than 48 bytes)");
-  }
-  void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);
-  if (map == MAP_FAILED) {
-    return Malformed(path, "mmap failed");
-  }
-  map_ = map;
-  map_size_ = size;
-  path_ = path;
-
-  // -- header --
-  const char* b = base();
-  if (std::memcmp(b, kAuditMagic, sizeof(kAuditMagic)) != 0) {
-    Close();
-    return Malformed(path, "bad magic (not an audit.bin)");
-  }
-  if (ReadRawU32(b, 8) != kAuditVersion) {
-    Close();
-    return Malformed(path, "unsupported version");
-  }
-  const std::uint64_t section_count = ReadRawU64(b, 16);
-  const std::uint64_t table_offset = ReadRawU64(b, 24);
-  const std::uint64_t file_size = ReadRawU64(b, 32);
-  const std::uint64_t header_checksum = ReadRawU64(b, 40);
-  if (core::Fnv1a64(std::string_view(b, 40)) != header_checksum) {
-    Close();
-    return Malformed(path, "header checksum mismatch");
-  }
-  if (file_size != size) {
-    Close();
-    return Malformed(path, "file size mismatch (truncated or appended)");
-  }
-
-  // -- section table --
-  const std::uint64_t table_bytes = section_count * kAuditTableEntrySize;
-  if (table_offset < kAuditHeaderSize || table_offset > size ||
-      table_bytes + 8 > size - table_offset) {
-    Close();
-    return Malformed(path, "section table out of bounds");
-  }
-  const std::string_view table_view(b + table_offset,
-                                    static_cast<std::size_t>(table_bytes));
-  if (core::Fnv1a64(table_view) !=
-      ReadRawU64(b, table_offset + table_bytes)) {
-    Close();
-    return Malformed(path, "section table checksum mismatch");
-  }
-  table_.reserve(static_cast<std::size_t>(section_count));
-  for (std::uint64_t i = 0; i < section_count; ++i) {
-    const std::uint64_t at = table_offset + i * kAuditTableEntrySize;
-    SectionEntry entry;
-    entry.kind = ReadRawU64(b, at);
-    entry.run = ReadRawU64(b, at + 8);
-    entry.offset = ReadRawU64(b, at + 16);
-    entry.size = ReadRawU64(b, at + 24);
-    entry.checksum = ReadRawU64(b, at + 32);
-    if (entry.offset < kAuditHeaderSize || entry.offset > table_offset ||
-        entry.size > table_offset - entry.offset ||
-        entry.offset % 8 != 0) {
-      Close();
-      return Malformed(path, "section entry out of bounds");
+  if (size > 0) {
+    void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+    if (map == MAP_FAILED) {
+      ::close(fd);
+      return Malformed("mmap failed");
     }
-    table_.push_back(entry);
+    map_ = map;
+    map_size_ = size;
   }
-  verified_.assign(table_.size(), 0);
+  ::close(fd);
+  const Status status = LoadIndex();
+  if (!status.ok()) Close();
+  return status;
+}
+
+Status AuditReader::LoadIndex() {
+  const Status container = file_.Open(
+      std::string_view(static_cast<const char*>(map_), map_size_),
+      kAuditFormat);
+  if (!container.ok()) return Malformed(container.error().message());
 
   // -- meta + run headers (small; decoded eagerly so run_count()/run()
   //    need no error paths) --
   const Result<std::string_view> meta =
       Section(SectionKind::kMeta, kAuditGlobalRun);
-  if (!meta.ok()) {
-    const Error error = meta.error();
-    Close();
-    return error;
-  }
+  if (!meta.ok()) return meta.error();
   core::binio::Reader mr(meta.value());
   const std::string schema = mr.GetString();
   if (!mr.ok() || schema != kAuditSchema) {
-    Close();
-    return Malformed(path, "schema mismatch (want sisyphus.audit/1)");
+    return Malformed("schema mismatch (want sisyphus.audit/1)");
   }
   const std::uint64_t run_count = mr.GetU64();
+  // Every run owns sections of its own, so the table bounds the count.
+  if (!mr.ok() || run_count > file_.sections().size()) {
+    return Malformed("run count exceeds the section table");
+  }
   runs_.reserve(static_cast<std::size_t>(run_count));
   for (std::uint64_t r = 0; r < run_count; ++r) {
     const Result<std::string_view> header =
         Section(SectionKind::kRunHeader, r);
-    if (!header.ok()) {
-      const Error error = header.error();
-      Close();
-      return error;
-    }
+    if (!header.ok()) return header.error();
     core::binio::Reader hr(header.value());
     RunSummary summary;
     summary.label = hr.GetString();
@@ -261,10 +190,7 @@ Status AuditReader::Open(const std::string& path) {
     summary.record_rows = hr.GetU64();
     summary.unit_count = hr.GetU64();
     summary.estimate_count = hr.GetU64();
-    if (!hr.ok()) {
-      Close();
-      return Malformed(path, "run header decode failed");
-    }
+    if (!hr.ok()) return Malformed("run header decode failed");
     summary.waterfall.probes_attempted =
         summary.waterfall.emitted + summary.waterfall.probes_failed;
     runs_.push_back(std::move(summary));
@@ -272,45 +198,18 @@ Status AuditReader::Open(const std::string& path) {
   return Status::Ok();
 }
 
-Status AuditReader::VerifyEntry(std::size_t index) const {
-  if (verified_[index]) return Status::Ok();
-  const SectionEntry& entry = table_[index];
-  const std::string_view bytes(base() + entry.offset,
-                               static_cast<std::size_t>(entry.size));
-  if (core::Fnv1a64(bytes) != entry.checksum) {
-    return Malformed(path_, "section checksum mismatch (kind " +
-                                std::to_string(entry.kind) + ", run " +
-                                (entry.run == kAuditGlobalRun
-                                     ? std::string("global")
-                                     : std::to_string(entry.run)) +
-                                ")");
-  }
-  verified_[index] = 1;
-  return Status::Ok();
-}
-
 Result<std::string_view> AuditReader::Section(SectionKind kind,
                                               std::uint64_t run) const {
-  for (std::size_t i = 0; i < table_.size(); ++i) {
-    const SectionEntry& entry = table_[i];
-    if (entry.kind != static_cast<std::uint64_t>(kind) || entry.run != run) {
-      continue;
-    }
-    const Status status = VerifyEntry(i);
-    if (!status.ok()) return status.error();
-    return std::string_view(base() + entry.offset,
-                            static_cast<std::size_t>(entry.size));
-  }
-  return Malformed(path_, "missing section (kind " +
-                              std::to_string(static_cast<int>(kind)) + ")");
+  const Result<std::string_view> payload =
+      file_.Find(static_cast<std::uint64_t>(kind), run);
+  if (!payload.ok()) return Malformed(payload.error().message());
+  return payload;
 }
 
 Status AuditReader::VerifyAll() const {
-  for (std::size_t i = 0; i < table_.size(); ++i) {
-    const Status status = VerifyEntry(i);
-    if (!status.ok()) return status;
-  }
-  return Status::Ok();
+  const Status status = file_.VerifyAll();
+  if (!status.ok()) return Malformed(status.error().message());
+  return status;
 }
 
 Result<RecordColumns> AuditReader::Records(std::size_t run) const {
@@ -318,15 +217,18 @@ Result<RecordColumns> AuditReader::Records(std::size_t run) const {
       Section(SectionKind::kRecords, run);
   if (!section.ok()) return section.error();
   const std::string_view bytes = section.value();
-  if (bytes.size() < 8) return Malformed(path_, "records section too small");
+  core::binio::Reader header(bytes);
   RecordColumns columns;
-  columns.count = ReadRawU64(bytes.data(), 0);
+  columns.count = header.GetU64();
+  if (!header.ok()) return Malformed("records section too small");
+  // Each row takes 10 column bytes; bounding n by that first keeps the
+  // size arithmetic below from wrapping.
   const std::uint64_t n = columns.count;
   const auto pad8 = [](std::uint64_t v) { return (v + 7) & ~std::uint64_t{7}; };
   std::uint64_t need = 8 + pad8(n * 4);
   for (int i = 0; i < 6; ++i) need += pad8(n);
-  if (need > bytes.size()) {
-    return Malformed(path_, "records section truncated");
+  if (n > bytes.size() / 10 || need > bytes.size()) {
+    return Malformed("records section truncated");
   }
   const char* p = bytes.data();
   std::uint64_t off = 8;
@@ -358,10 +260,10 @@ Result<TerminalSlice> AuditReader::Terminal(std::size_t run,
     slice.count = r.GetU64();
     slice.id_runs = core::binio::GetU64Vector(r);
     slice.facets = GetFacets(r);
-    if (!r.ok()) return Malformed(path_, "terminal index decode failed");
+    if (!r.ok()) return Malformed("terminal index decode failed");
     if (static_cast<obs::LineageStage>(s) == stage) return slice;
   }
-  return Malformed(path_, "terminal stage out of range");
+  return Malformed("terminal stage out of range");
 }
 
 Result<UnitInfo> AuditReader::FindUnit(std::size_t run,
@@ -370,8 +272,8 @@ Result<UnitInfo> AuditReader::FindUnit(std::size_t run,
       Section(SectionKind::kUnitIndex, run);
   if (!section.ok()) return section.error();
   const Result<std::string_view> payload =
-      DirectoryLookup(section.value(), name, path_);
-  if (!payload.ok()) return payload.error();
+      DirectoryLookup(section.value(), name);
+  if (!payload.ok()) return Malformed(payload.error().message());
   UnitInfo info;
   if (payload.value().data() == nullptr) return info;  // not found
   core::binio::Reader r(payload.value());
@@ -393,7 +295,7 @@ Result<UnitInfo> AuditReader::FindUnit(std::size_t run,
     info.cells.push_back(std::move(cell));
   }
   info.record_total = r.GetU64();
-  if (!r.ok()) return Malformed(path_, "unit payload decode failed");
+  if (!r.ok()) return Malformed("unit payload decode failed");
   return info;
 }
 
@@ -403,8 +305,8 @@ Result<EstimateInfo> AuditReader::FindEstimate(std::size_t run,
       Section(SectionKind::kEstimateIndex, run);
   if (!section.ok()) return section.error();
   const Result<std::string_view> payload =
-      DirectoryLookup(section.value(), label, path_);
-  if (!payload.ok()) return payload.error();
+      DirectoryLookup(section.value(), label);
+  if (!payload.ok()) return Malformed(payload.error().message());
   EstimateInfo info;
   if (payload.value().data() == nullptr) return info;  // not found
   core::binio::Reader r(payload.value());
@@ -418,7 +320,7 @@ Result<EstimateInfo> AuditReader::FindEstimate(std::size_t run,
   info.p_value = r.GetDouble();
   info.treated_comp = GetComposition(r);
   info.donor_comp = GetComposition(r);
-  if (!r.ok()) return Malformed(path_, "estimate payload decode failed");
+  if (!r.ok()) return Malformed("estimate payload decode failed");
   return info;
 }
 
@@ -443,7 +345,7 @@ Result<Rankings> AuditReader::Ranked(std::size_t run) const {
     vantage.records = r.GetU64();
     rankings.vantages.push_back(vantage);
   }
-  if (!r.ok()) return Malformed(path_, "rankings decode failed");
+  if (!r.ok()) return Malformed("rankings decode failed");
   return rankings;
 }
 

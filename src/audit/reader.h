@@ -1,12 +1,15 @@
 // Zero-copy memory-mapped reader for audit.bin (format.h, DESIGN.md §12).
 //
-// Open() maps the file and validates only the fixed header and the
-// section table — O(index), no parsing of section payloads — so opening
-// a multi-gigabyte artifact is instant. Section payload checksums are
-// verified lazily, once, on first access (VerifyAll() forces every
-// section for --check / obscheck). Accessors return decoded views; the
-// columnar record arrays are handed out as typed pointers straight into
-// the mapping (sections are 8-byte aligned by the writer).
+// Open() maps the file and validates the container header and section
+// table (core/sectioned_file.h) plus the small meta and run-header
+// sections — no other payload is touched, so opening a multi-gigabyte
+// artifact is instant. Section payload checksums are verified lazily,
+// once, on first access (VerifyAll() forces every section for --check /
+// obscheck). Accessors return decoded views; the columnar record arrays
+// are handed out as typed pointers straight into the mapping (sections
+// are 8-byte aligned by the writer). Every count read from the file is
+// bounded by the bytes that back it before it is used, so a forged file
+// yields an error, never a crash.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +20,7 @@
 
 #include "audit/format.h"
 #include "core/result.h"
+#include "core/sectioned_file.h"
 #include "obs/lineage.h"
 
 namespace sisyphus::audit {
@@ -149,15 +153,16 @@ class AuditReader {
   /// Returns the section's payload bytes, verifying its checksum once.
   core::Result<std::string_view> Section(SectionKind kind,
                                          std::uint64_t run) const;
-  core::Status VerifyEntry(std::size_t index) const;
-  const char* base() const { return static_cast<const char*>(map_); }
+  /// "audit: <path>: <what>" parse error.
+  core::Error Malformed(const std::string& what) const;
+  /// Validates the container and decodes meta + run headers.
+  core::Status LoadIndex();
   void Close();
 
   void* map_ = nullptr;
   std::size_t map_size_ = 0;
   std::string path_;
-  std::vector<SectionEntry> table_;
-  mutable std::vector<std::uint8_t> verified_;  ///< per table entry
+  core::sectioned::Reader file_;
   std::vector<RunSummary> runs_;
 };
 

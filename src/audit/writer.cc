@@ -1,8 +1,6 @@
 #include "audit/writer.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 #include <map>
 #include <utility>
 #include <vector>
@@ -10,32 +8,18 @@
 #include "audit/format.h"
 #include "core/binio.h"
 #include "core/hash.h"
+#include "core/sectioned_file.h"
 
 namespace sisyphus::audit {
 namespace {
 
 using core::binio::Writer;
+using core::sectioned::PadTo8;
 using obs::IdRunSet;
 using obs::kLineageFaultNames;
 using obs::kLineageStageCount;
 using obs::Lineage;
 using obs::LineageStage;
-
-void AppendRawU32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendRawU64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PadTo8(std::string& out) {
-  while (out.size() % 8 != 0) out.push_back('\0');
-}
 
 void PutCountMap(Writer& w,
                  const std::map<std::string, std::uint64_t>& counts) {
@@ -194,9 +178,9 @@ std::string EncodeRecords(const Lineage::RunLedger& run,
   const std::size_t n = run.records.size();
   std::string out;
   out.reserve(8 + n * 10 + 64);
-  AppendRawU64(out, n);
+  core::binio::AppendLittleEndian(out, n, 8);
   for (const Lineage::RecordEntry& entry : run.records) {
-    AppendRawU32(out, entry.vantage);
+    core::binio::AppendLittleEndian(out, entry.vantage, 4);
   }
   PadTo8(out);
   const auto column = [&](auto&& get) {
@@ -264,9 +248,11 @@ std::string EncodeDirectory(
 
   std::string out;
   out.reserve(cursor);
-  AppendRawU64(out, entries.size());
+  core::binio::AppendLittleEndian(out, entries.size(), 8);
   for (const auto& slot : slots) {
-    for (std::uint64_t field : slot) AppendRawU64(out, field);
+    for (std::uint64_t field : slot) {
+      core::binio::AppendLittleEndian(out, field, 8);
+    }
   }
   out += names;
   while (out.size() < payload_base) out.push_back('\0');
@@ -373,20 +359,10 @@ std::string EncodeRankings(const Lineage::RunLedger& run) {
 }  // namespace
 
 std::string BuildAuditArtifact(const obs::Lineage& lineage) {
-  std::string file(kAuditHeaderSize, '\0');
-  std::vector<SectionEntry> table;
-
+  core::sectioned::Writer file(kAuditFormat);
   const auto add_section = [&](SectionKind kind, std::uint64_t run,
                                const std::string& payload) {
-    PadTo8(file);
-    SectionEntry entry;
-    entry.kind = static_cast<std::uint64_t>(kind);
-    entry.run = run;
-    entry.offset = file.size();
-    entry.size = payload.size();
-    entry.checksum = core::Fnv1a64(payload);
-    table.push_back(entry);
-    file += payload;
+    file.Add(static_cast<std::uint64_t>(kind), run, payload);
   };
 
   lineage.VisitRuns([&](const std::vector<Lineage::RunLedger>& runs) {
@@ -403,50 +379,19 @@ std::string BuildAuditArtifact(const obs::Lineage& lineage) {
       add_section(SectionKind::kRankings, r, EncodeRankings(run));
     }
   });
-
-  PadTo8(file);
-  const std::uint64_t table_offset = file.size();
-  std::string table_bytes;
-  table_bytes.reserve(table.size() * kAuditTableEntrySize);
-  for (const SectionEntry& entry : table) {
-    AppendRawU64(table_bytes, entry.kind);
-    AppendRawU64(table_bytes, entry.run);
-    AppendRawU64(table_bytes, entry.offset);
-    AppendRawU64(table_bytes, entry.size);
-    AppendRawU64(table_bytes, entry.checksum);
-  }
-  file += table_bytes;
-  AppendRawU64(file, core::Fnv1a64(table_bytes));
-
-  // Header, then its checksum over the first 40 bytes.
-  std::string header;
-  header.append(kAuditMagic, sizeof(kAuditMagic));
-  AppendRawU32(header, kAuditVersion);
-  AppendRawU32(header, 0);  // flags
-  AppendRawU64(header, table.size());
-  AppendRawU64(header, table_offset);
-  AppendRawU64(header, file.size());
-  AppendRawU64(header, core::Fnv1a64(header));
-  std::memcpy(file.data(), header.data(), header.size());
-  return file;
+  return std::move(file).Finish();
 }
 
 core::Status WriteAuditArtifact(const std::string& directory,
                                 const obs::Lineage& lineage) {
-  const std::string bytes = BuildAuditArtifact(lineage);
   const std::string path = directory + "/" + kAuditFileName;
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return core::Error(core::ErrorCode::kInvalidArgument,
-                       "audit: cannot open " + path + " for writing");
+  const core::Status status =
+      core::sectioned::WriteFileAtomically(path, BuildAuditArtifact(lineage));
+  if (!status.ok()) {
+    return core::Error(status.error().code(),
+                       "audit: " + status.error().message());
   }
-  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool closed = std::fclose(f) == 0;
-  if (written != bytes.size() || !closed) {
-    return core::Error(core::ErrorCode::kCapacity,
-                       "audit: short write to " + path);
-  }
-  return core::Status::Ok();
+  return status;
 }
 
 }  // namespace sisyphus::audit

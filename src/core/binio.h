@@ -22,6 +22,14 @@
 
 namespace sisyphus::core::binio {
 
+/// Appends the low `bytes` bytes of `v` to `out`, least significant first —
+/// the one fixed-width integer encoding every binary format here uses.
+inline void AppendLittleEndian(std::string& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  }
+}
+
 /// Appends fixed-width little-endian primitives to a byte buffer.
 class Writer {
  public:
@@ -52,9 +60,7 @@ class Writer {
 
  private:
   void PutLittleEndian(std::uint64_t v, int bytes) {
-    for (int i = 0; i < bytes; ++i) {
-      buffer_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
+    AppendLittleEndian(buffer_, v, bytes);
   }
 
   std::string buffer_;

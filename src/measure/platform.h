@@ -143,7 +143,9 @@ class StreamingCampaign {
   const ShardedMeasurementStore& store() const { return store_; }
   const IncrementalPanelBuilder& panel_builder() const { return panel_; }
   std::uint64_t batches() const { return batches_; }
-  /// Record copies offered for ingest (archived + quarantined).
+  /// Batch entries offered for ingest. A duplicate-delivery entry counts
+  /// once here but is ingested as two copies, so archived + quarantined
+  /// can exceed this under duplication faults.
   std::uint64_t ingested() const { return ingested_; }
 
  private:

@@ -1,10 +1,9 @@
 #include "obs/timeline.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
 
 #include "core/error.h"
 #include "core/hash.h"
@@ -17,22 +16,6 @@ bool g_timeline_enabled = false;
 }  // namespace internal
 
 namespace {
-
-void AppendRawU32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendRawU64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PadTo8(std::string& out) {
-  while (out.size() % 8 != 0) out.push_back('\0');
-}
 
 std::uint64_t ZigZag(std::int64_t v) {
   return (static_cast<std::uint64_t>(v) << 1) ^
@@ -52,7 +35,7 @@ void AppendVarint(std::string& out, std::uint64_t v) {
   out.push_back(static_cast<char>(v));
 }
 
-bool ReadVarint(const std::string& data, std::size_t& pos,
+bool ReadVarint(std::string_view data, std::size_t& pos,
                 std::uint64_t* out) {
   std::uint64_t v = 0;
   int shift = 0;
@@ -68,36 +51,12 @@ bool ReadVarint(const std::string& data, std::size_t& pos,
   return false;
 }
 
+constexpr std::uint64_t Kind(TimelineSectionKind kind) {
+  return static_cast<std::uint64_t>(kind);
+}
+
 void AppendRawDouble(std::string& out, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  AppendRawU64(out, bits);
-}
-
-double ReadRawDouble(const char* p) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, p, sizeof(bits));
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-std::uint64_t ReadRawU64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(p[i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-std::uint32_t ReadRawU32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(p[i]))
-         << (8 * i);
-  }
-  return v;
+  core::binio::AppendLittleEndian(out, std::bit_cast<std::uint64_t>(v), 8);
 }
 
 }  // namespace
@@ -406,22 +365,10 @@ std::vector<DetectionEvent> Timeline::Events() const {
 
 std::string Timeline::BuildArtifact() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::string file(kTimelineHeaderSize, '\0');
-  struct Entry {
-    std::uint64_t kind, run, offset, size, checksum;
-  };
-  std::vector<Entry> table;
+  core::sectioned::Writer file(kTimelineFormat);
   const auto add_section = [&](TimelineSectionKind kind, std::uint64_t run,
-                               const std::string& payload) {
-    PadTo8(file);
-    Entry entry;
-    entry.kind = static_cast<std::uint64_t>(kind);
-    entry.run = run;
-    entry.offset = file.size();
-    entry.size = payload.size();
-    entry.checksum = core::Fnv1a64(payload);
-    table.push_back(entry);
-    file += payload;
+                               std::string_view payload) {
+    file.Add(Kind(kind), run, payload);
   };
 
   {
@@ -469,30 +416,7 @@ std::string Timeline::BuildArtifact() const {
                 std::move(events).Take());
   }
 
-  PadTo8(file);
-  const std::uint64_t table_offset = file.size();
-  std::string table_bytes;
-  table_bytes.reserve(table.size() * kTimelineTableEntrySize);
-  for (const Entry& entry : table) {
-    AppendRawU64(table_bytes, entry.kind);
-    AppendRawU64(table_bytes, entry.run);
-    AppendRawU64(table_bytes, entry.offset);
-    AppendRawU64(table_bytes, entry.size);
-    AppendRawU64(table_bytes, entry.checksum);
-  }
-  file += table_bytes;
-  AppendRawU64(file, core::Fnv1a64(table_bytes));
-
-  std::string header;
-  header.append(kTimelineMagic, sizeof(kTimelineMagic));
-  AppendRawU32(header, kTimelineVersion);
-  AppendRawU32(header, 0);  // flags
-  AppendRawU64(header, table.size());
-  AppendRawU64(header, table_offset);
-  AppendRawU64(header, file.size());
-  AppendRawU64(header, core::Fnv1a64(header));
-  std::memcpy(file.data(), header.data(), header.size());
-  return file;
+  return std::move(file).Finish();
 }
 
 void Timeline::Save(core::binio::Writer& w) const {
@@ -599,84 +523,22 @@ bool TimelineReader::Parse(std::string bytes, std::string* error) {
     return false;
   };
   bytes_ = std::move(bytes);
-  if (bytes_.size() < kTimelineHeaderSize) return fail("file too small");
-  if (std::memcmp(bytes_.data(), kTimelineMagic, sizeof(kTimelineMagic)) !=
-      0) {
-    return fail("bad magic (not a timeline.bin)");
+  core::sectioned::Reader file;
+  if (const core::Status status = file.Open(bytes_, kTimelineFormat);
+      !status.ok()) {
+    return fail(status.error().message());
   }
-  const char* header = bytes_.data();
-  const std::uint32_t version = ReadRawU32(header + 8);
-  if (version != kTimelineVersion) {
-    return fail("unsupported version " + std::to_string(version));
+  if (const core::Status status = file.VerifyAll(); !status.ok()) {
+    return fail(status.error().message());
   }
-  const std::uint64_t section_count = ReadRawU64(header + 16);
-  const std::uint64_t table_offset = ReadRawU64(header + 24);
-  const std::uint64_t file_size = ReadRawU64(header + 32);
-  const std::uint64_t header_checksum = ReadRawU64(header + 40);
-  if (core::Fnv1a64(std::string_view(header, 40)) != header_checksum) {
-    return fail("header checksum mismatch");
-  }
-  if (file_size != bytes_.size()) {
-    return fail("file size mismatch (truncated or padded)");
-  }
-  const std::uint64_t table_bytes =
-      section_count * kTimelineTableEntrySize;
-  if (table_offset + table_bytes + 8 != bytes_.size()) {
-    return fail("section table does not close the file");
-  }
-  const std::string_view table(bytes_.data() + table_offset, table_bytes);
-  if (core::Fnv1a64(table) != ReadRawU64(bytes_.data() + table_offset +
-                                         table_bytes)) {
-    return fail("table checksum mismatch");
-  }
+  const auto meta_section =
+      file.Find(Kind(TimelineSectionKind::kMeta), kTimelineGlobalRun);
+  if (!meta_section.ok()) return fail("missing meta section");
+  const auto events_section =
+      file.Find(Kind(TimelineSectionKind::kEvents), kTimelineGlobalRun);
+  if (!events_section.ok()) return fail("missing events section");
 
-  std::uint64_t meta_offset = 0;
-  std::uint64_t meta_size = 0;
-  std::uint64_t events_offset = 0;
-  std::uint64_t events_size = 0;
-  bool have_meta = false;
-  bool have_events = false;
-  std::vector<std::pair<std::uint64_t, std::pair<std::uint64_t,
-                                                 std::uint64_t>>>
-      series_sections;  // (run, (offset, size))
-  for (std::uint64_t i = 0; i < section_count; ++i) {
-    const char* entry =
-        bytes_.data() + table_offset + i * kTimelineTableEntrySize;
-    const std::uint64_t kind = ReadRawU64(entry);
-    const std::uint64_t run = ReadRawU64(entry + 8);
-    const std::uint64_t offset = ReadRawU64(entry + 16);
-    const std::uint64_t size = ReadRawU64(entry + 24);
-    const std::uint64_t checksum = ReadRawU64(entry + 32);
-    if (offset + size > table_offset) {
-      return fail("section " + std::to_string(i) + " overruns the table");
-    }
-    if (core::Fnv1a64(std::string_view(bytes_.data() + offset, size)) !=
-        checksum) {
-      return fail("section " + std::to_string(i) + " checksum mismatch");
-    }
-    switch (static_cast<TimelineSectionKind>(kind)) {
-      case TimelineSectionKind::kMeta:
-        have_meta = true;
-        meta_offset = offset;
-        meta_size = size;
-        break;
-      case TimelineSectionKind::kSeries:
-        series_sections.push_back({run, {offset, size}});
-        break;
-      case TimelineSectionKind::kEvents:
-        have_events = true;
-        events_offset = offset;
-        events_size = size;
-        break;
-      default:
-        break;  // unknown kinds are skipped (forward compatibility)
-    }
-  }
-  if (!have_meta) return fail("missing meta section");
-  if (!have_events) return fail("missing events section");
-
-  core::binio::Reader meta(
-      std::string_view(bytes_.data() + meta_offset, meta_size));
+  core::binio::Reader meta(meta_section.value());
   const std::string schema = meta.GetString();
   if (schema != kTimelineSchema) return fail("bad schema '" + schema + "'");
   steps_ = meta.GetU64();
@@ -714,21 +576,36 @@ bool TimelineReader::Parse(std::string bytes, std::string* error) {
     }
     series_.push_back(std::move(view));
   }
-  if (series_sections.size() != series_.size()) {
-    return fail("series section count disagrees with meta");
-  }
   series_payload_.assign(series_.size(), {0, 0});
   std::vector<bool> seen(series_.size(), false);
-  for (const auto& [run, span] : series_sections) {
-    if (run >= series_.size() || seen[run]) {
+  std::size_t series_sections = 0;
+  for (const core::sectioned::Section& section : file.sections()) {
+    if (section.kind != Kind(TimelineSectionKind::kSeries)) {
+      continue;  // meta, events, and unknown kinds (forward compatibility)
+    }
+    ++series_sections;
+    if (section.run >= series_.size() || seen[section.run]) {
       return fail("series section run id invalid or duplicated");
     }
-    seen[run] = true;
-    series_payload_[run] = span;
+    seen[section.run] = true;
+    series_payload_[section.run] = {section.offset, section.size};
+    // Every counter delta takes at least one byte and every double eight,
+    // so the payload bounds the sample count before anything trusts it.
+    const TimelineSeriesView& view = series_[section.run];
+    const bool sized = view.kind == SeriesKind::kCounter
+                           ? view.sample_count <= section.size
+                           : section.size % 8 == 0 &&
+                                 section.size / 8 == view.sample_count;
+    if (!sized) {
+      return fail("series '" + view.name +
+                  "' payload size disagrees with its sample count");
+    }
+  }
+  if (series_sections != series_.size()) {
+    return fail("series section count disagrees with meta");
   }
 
-  core::binio::Reader ev(
-      std::string_view(bytes_.data() + events_offset, events_size));
+  core::binio::Reader ev(events_section.value());
   const std::uint64_t declared_events = ev.GetU64();
   if (!ev.ok() || declared_events != event_count) {
     return fail("events section count disagrees with meta");
@@ -801,10 +678,10 @@ bool TimelineReader::SeriesValues(std::uint32_t id, std::vector<double>* out,
   if (id >= series_.size()) return fail("no series " + std::to_string(id));
   const TimelineSeriesView& view = series_[id];
   const auto [offset, size] = series_payload_[id];
+  const std::string_view data = std::string_view(bytes_).substr(offset, size);
   out->clear();
-  out->reserve(view.sample_count);
+  out->reserve(view.sample_count);  // bounded by the payload size in Parse
   if (view.kind == SeriesKind::kCounter) {
-    const std::string data(bytes_.data() + offset, size);
     std::size_t pos = 0;
     std::int64_t value = 0;
     for (std::uint64_t i = 0; i < view.sample_count; ++i) {
@@ -812,18 +689,19 @@ bool TimelineReader::SeriesValues(std::uint32_t id, std::vector<double>* out,
       if (!ReadVarint(data, pos, &raw)) {
         return fail("series '" + view.name + "' delta stream truncated");
       }
-      value += UnZigZag(raw);
+      // Wrapping add: a forged delta stream must not overflow a signed sum.
+      value = static_cast<std::int64_t>(static_cast<std::uint64_t>(value) +
+                                        static_cast<std::uint64_t>(
+                                            UnZigZag(raw)));
       out->push_back(static_cast<double>(value));
     }
     if (pos != data.size()) {
       return fail("series '" + view.name + "' has trailing bytes");
     }
   } else {
-    if (size != view.sample_count * 8) {
-      return fail("series '" + view.name + "' payload size mismatch");
-    }
+    core::binio::Reader r(data);
     for (std::uint64_t i = 0; i < view.sample_count; ++i) {
-      out->push_back(ReadRawDouble(bytes_.data() + offset + i * 8));
+      out->push_back(r.GetDouble());
     }
   }
   return true;
@@ -847,29 +725,12 @@ bool TimelineReader::ValuesAt(
 // ---------------------------------------------------------------------------
 
 bool WriteTimelineArtifact(const std::string& dir) {
-  namespace fs = std::filesystem;
-  const std::string bytes = Timeline::Global().BuildArtifact();
-  const fs::path path = fs::path(dir) / "timeline.bin";
-  const fs::path tmp = fs::path(dir) / "timeline.bin.tmp";
-  std::FILE* file = std::fopen(tmp.string().c_str(), "wb");
-  if (file == nullptr) {
-    core::LogLine(core::LogLevel::kWarn, "timeline: cannot open for write",
-                  {{"path", tmp.string()}});
-    return false;
-  }
-  const std::size_t written =
-      std::fwrite(bytes.data(), 1, bytes.size(), file);
-  const bool ok = written == bytes.size() && std::fclose(file) == 0;
-  if (!ok) {
-    core::LogLine(core::LogLevel::kWarn, "timeline: short write",
-                  {{"path", tmp.string()}});
-    return false;
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    core::LogLine(core::LogLevel::kWarn, "timeline: rename failed",
-                  {{"path", path.string()}, {"why", ec.message()}});
+  const std::string path = dir + "/timeline.bin";
+  const core::Status status = core::sectioned::WriteFileAtomically(
+      path, Timeline::Global().BuildArtifact());
+  if (!status.ok()) {
+    core::LogLine(core::LogLevel::kWarn, "timeline: write failed",
+                  {{"path", path}, {"why", status.error().message()}});
     return false;
   }
   return true;

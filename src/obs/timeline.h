@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "core/binio.h"
+#include "core/sectioned_file.h"
 
 namespace sisyphus::obs {
 
@@ -95,16 +96,11 @@ struct DetectionEvent {
 };
 
 // ---------------------------------------------------------------------------
-// Artifact constants (timeline.bin) — same framing as audit.bin
-// (src/audit/format.h): 48-byte header, 8-byte-aligned FNV-1a-checksummed
-// sections, 40-byte table entries, trailing table checksum.
+// Artifact schema (timeline.bin): a core/sectioned_file container
+// (layout: DESIGN.md §12) with the magic, version, and section kinds below.
 
-inline constexpr char kTimelineMagic[8] = {'S', 'I', 'S', 'Y',
-                                          'T', 'M', 'L', '1'};
-inline constexpr std::uint32_t kTimelineVersion = 1;
-inline constexpr std::size_t kTimelineHeaderSize = 48;
-inline constexpr std::size_t kTimelineTableEntrySize = 40;
-inline constexpr std::uint64_t kTimelineGlobalRun = ~std::uint64_t{0};
+inline constexpr core::sectioned::Format kTimelineFormat{"SISYTML1", 1};
+inline constexpr std::uint64_t kTimelineGlobalRun = core::sectioned::kGlobalRun;
 inline constexpr std::string_view kTimelineSchema = "sisyphus.timeline/1";
 
 enum class TimelineSectionKind : std::uint32_t {
@@ -254,6 +250,9 @@ class Timeline {
 // Reader — parses and verifies a timeline.bin byte string or file. The
 // whole artifact is loaded and checksum-verified up front (timeline files
 // are small: KBs to a few MB), so every query is an in-memory decode.
+// Parse also checks every series' sample count against its payload size,
+// so no count read from the file can drive an allocation or a read past
+// the bytes that back it.
 
 struct TimelineSeriesView {
   std::uint32_t id = 0;

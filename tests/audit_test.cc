@@ -357,7 +357,7 @@ TEST(AuditStoreTest, ByteIdenticalAt1And8Lanes) {
   // capture/replay side-channel makes lane-count invariant — so the
   // whole indexed file, checksums and all, is byte-identical too.
   EXPECT_EQ(serial, parallel);
-  EXPECT_GT(serial.size(), audit::kAuditHeaderSize);
+  EXPECT_GT(serial.size(), core::sectioned::kHeaderSize);
 }
 
 // ---------------------------------------------------------------------------

@@ -374,7 +374,7 @@ std::string SmallArtifact() {
 
 TEST_F(TimelineTest, ArtifactRejectsEveryTruncationAndGrowth) {
   const std::string artifact = SmallArtifact();
-  ASSERT_GT(artifact.size(), obs::kTimelineHeaderSize);
+  ASSERT_GT(artifact.size(), core::sectioned::kHeaderSize);
 
   // The header records the exact file size and the section table must
   // close the file, so EVERY proper prefix is rejected.
