@@ -17,6 +17,7 @@
 #include "core/rng.h"
 #include "core/sim_time.h"
 #include "measure/platform.h"
+#include "netsim/scenario_za.h"
 
 namespace {
 
@@ -197,6 +198,44 @@ BENCHMARK(BM_StreamingIngest)
     ->Arg(1 << 20)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+// Probe generation at the Table 1 campaign shape: the ZA scenario with
+// its 8 treated and 30 donor vantages at scale 16 (160 baseline + 64 user
+// tests per vantage and day), 336 hourly Platform::GenerateStep calls (the
+// first 14 days, before the treatment). Each step resolves every
+// vantage's probe path once and samples its tests from it; items/s is
+// records generated. Scenario set-up is outside the timed region.
+void BM_GenerateStep(benchmark::State& state) {
+  constexpr double kScale = 16.0;
+  const core::SimTime until = core::SimTime::FromDays(14);
+  std::int64_t records = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    netsim::ScenarioZa scenario = netsim::BuildScenarioZa();
+    measure::PlatformOptions options;
+    options.server = scenario.content_jnb;
+    measure::Platform platform(*scenario.simulator, options);
+    measure::VantageConfig vantage;
+    vantage.baseline_tests_per_day = 10.0 * kScale;
+    vantage.user_tests_per_day = 4.0 * kScale;
+    for (const auto& unit : scenario.treated) {
+      vantage.pop = unit.access_pop;
+      platform.AddVantage(vantage);
+    }
+    for (netsim::PopIndex donor : scenario.donors) {
+      vantage.pop = donor;
+      platform.AddVantage(vantage);
+    }
+    core::Rng rng(scenario.options.seed);
+    state.ResumeTiming();
+    while (platform.Now() < until) {
+      const measure::StepOutput step = platform.GenerateStep(until, rng);
+      records += static_cast<std::int64_t>(step.records.size());
+    }
+  }
+  state.SetItemsProcessed(records);
+}
+BENCHMARK(BM_GenerateStep)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

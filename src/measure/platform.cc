@@ -2,6 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <optional>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 
 #include "core/binio.h"
 #include "core/error.h"
@@ -30,17 +35,20 @@ void Platform::AddVantage(VantageConfig config) {
 }
 
 void Platform::RunTests(VantageState& vantage, std::size_t count,
-                        Intent intent, double congestion_signal,
-                        core::Rng& rng, VantageBatch& batch) {
+                        Intent intent, const ProbePath* path, core::Rng& rng,
+                        VantageBatch& batch) {
   for (std::size_t i = 0; i < count; ++i) {
-    RunOneTest(vantage, intent, congestion_signal, rng, batch);
+    RunOneTest(vantage, intent, path, rng, batch);
   }
 }
 
 void Platform::RunOneTest(VantageState& vantage, Intent intent,
-                          double congestion_signal, core::Rng& rng,
+                          const ProbePath* path, core::Rng& rng,
                           VantageBatch& batch) {
   SISYPHUS_METRIC_COUNT("measure.probes.attempted", 1);
+  // The path loss rate doubles as the congestion signal that MNAR fault
+  // plans couple probe loss to.
+  const double congestion_signal = path != nullptr ? path->loss_rate : 0.0;
   const netsim::PopIndex pop = vantage.config.pop;
   netsim::PopIndex server = options_.server;
   if (steering_ != nullptr) {
@@ -89,28 +97,35 @@ void Platform::RunOneTest(VantageState& vantage, Intent intent,
       }
     }
 
-    auto record = RunSpeedTest(simulator_, pop, server, intent, rng,
-                               options_.test_model);
-    if (!record.ok()) {
+    // Under edge steering the server is chosen per test, so its path is
+    // resolved per test; otherwise every test samples the step's path.
+    const ProbePath* probe = path;
+    std::optional<ProbePath> steered;
+    if (steering_ != nullptr) {
+      auto resolved = ResolveProbePath(simulator_, pop, server);
+      if (resolved.ok()) steered = std::move(resolved).value();
+      probe = steered ? &*steered : nullptr;
+    }
+    if (probe == nullptr) {
       // No route: retrying within the step cannot help (routing only
       // changes between steps), so fail fast.
       batch.failures.push_back({simulator_.Now(), pop, intent,
                                 ProbeFault::kUnreachable, attempt});
       return;
     }
-    record.value().time = attempt_time;
-    record.value().attempts = attempt;
+    SpeedTestRecord record =
+        SampleSpeedTest(*probe, intent, rng, options_.test_model);
+    record.time = attempt_time;
+    record.attempts = attempt;
     SISYPHUS_METRIC_COUNT("measure.probes.succeeded", 1);
     bool duplicate = false;
     std::uint8_t fault_mask = 0;
     if (injector_ != nullptr) {
-      duplicate =
-          injector_->ApplyRecordFaults(record.value(), rng, &fault_mask);
+      duplicate = injector_->ApplyRecordFaults(record, rng, &fault_mask);
     }
     // The id is assigned at merge time (vantage order), not here: task
     // scheduling must not influence archive contents.
-    batch.records.push_back(
-        {std::move(record).value(), duplicate, fault_mask});
+    batch.records.push_back({std::move(record), duplicate, fault_mask});
     return;
   }
   batch.failures.push_back(
@@ -212,14 +227,14 @@ StepOutput Platform::GenerateStep(core::SimTime until, core::Rng& rng) {
   const double step_days =
       static_cast<double>(options_.step.minutes()) / (24.0 * 60.0);
 
-  // Serial prewarm: per-vantage network signals. Besides computing the
-  // inputs the probe tasks need, this touches every (vantage, server)
-  // route from the campaign thread, so the BGP route cache is warm and
-  // the tasks below only ever read it.
+  // Serial prewarm: resolve every vantage's probe path to the server once
+  // per step. Route, Now(), mean RTT, loss, traceroute and AS path cannot
+  // change until the simulator next advances, so the probe tasks below
+  // only sample from it, and only the campaign thread touches the BGP
+  // route cache.
   struct StepSignal {
     bool path_changed = false;
-    double current_rtt = -1.0;
-    double congestion_signal = 0.0;
+    std::optional<ProbePath> path;  ///< nullopt: no route to the server
   };
   std::vector<StepSignal> signals(vantages_.size());
   for (std::size_t i = 0; i < vantages_.size(); ++i) {
@@ -227,16 +242,10 @@ StepOutput Platform::GenerateStep(core::SimTime until, core::Rng& rng) {
     signal.path_changed =
         std::find(changed_pops.begin(), changed_pops.end(),
                   vantages_[i].config.pop) != changed_pops.end();
-    // Current network-level RTT (deterministic mean) drives perceived
-    // performance; the path loss rate doubles as the congestion signal
-    // that MNAR fault plans couple probe loss to.
-    if (auto route =
-            simulator_.RouteBetween(vantages_[i].config.pop, options_.server);
-        route.ok()) {
-      signal.current_rtt =
-          simulator_.latency().PathRttMs(route.value(), simulator_.Now());
-      signal.congestion_signal =
-          simulator_.latency().PathLossRate(route.value(), simulator_.Now());
+    if (auto path = ResolveProbePath(simulator_, vantages_[i].config.pop,
+                                     options_.server);
+        path.ok()) {
+      signal.path = std::move(path).value();
     }
   }
 
@@ -250,41 +259,43 @@ StepOutput Platform::GenerateStep(core::SimTime until, core::Rng& rng) {
     VantageState& vantage = vantages_[i];
     const StepSignal& signal = signals[i];
     VantageBatch& batch = batches[i];
+    const ProbePath* path = signal.path ? &*signal.path : nullptr;
+    // Current network-level RTT (deterministic mean) drives perceived
+    // performance.
+    const double current_rtt = path != nullptr ? path->mean_rtt_ms : -1.0;
 
     // Baseline schedule: timing independent of network state.
     const std::uint32_t baseline = task_rng.Poisson(
         vantage.config.baseline_tests_per_day * step_days);
-    RunTests(vantage, baseline, Intent::kBaseline, signal.congestion_signal,
-             task_rng, batch);
+    RunTests(vantage, baseline, Intent::kBaseline, path, task_rng, batch);
 
     // User-initiated: rate inflated by dissatisfaction and route churn —
     // the collider mechanism.
-    if (vantage.config.user_tests_per_day > 0.0 &&
-        signal.current_rtt > 0.0) {
+    if (vantage.config.user_tests_per_day > 0.0 && current_rtt > 0.0) {
       double rate = vantage.config.user_tests_per_day * step_days;
       if (vantage.ewma_rtt > 0.0) {
         const double excess =
-            std::max(0.0, signal.current_rtt / vantage.ewma_rtt - 1.0);
+            std::max(0.0, current_rtt / vantage.ewma_rtt - 1.0);
         rate *= 1.0 + vantage.config.dissatisfaction_gain * excess;
       }
       if (signal.path_changed) rate *= vantage.config.route_change_multiplier;
-      RunTests(vantage, task_rng.Poisson(rate), Intent::kUserInitiated,
-               signal.congestion_signal, task_rng, batch);
+      RunTests(vantage, task_rng.Poisson(rate), Intent::kUserInitiated, path,
+               task_rng, batch);
     }
 
     // §4 proposal 1: conditional activation on external signals.
     if (options_.conditional_activation && signal.path_changed) {
       RunTests(vantage, options_.event_burst_tests, Intent::kEventTriggered,
-               signal.congestion_signal, task_rng, batch);
+               path, task_rng, batch);
     }
 
     // Habituate (this task owns vantages_[i]; no sharing).
-    if (signal.current_rtt > 0.0) {
+    if (current_rtt > 0.0) {
       vantage.ewma_rtt =
           vantage.ewma_rtt < 0.0
-              ? signal.current_rtt
+              ? current_rtt
               : (1.0 - options_.ewma_alpha) * vantage.ewma_rtt +
-                    options_.ewma_alpha * signal.current_rtt;
+                    options_.ewma_alpha * current_rtt;
     }
   };
   if (steering_ != nullptr) {
@@ -504,46 +515,66 @@ StreamingCampaign::StreamingCampaign(StoreValidationOptions validation,
       store_(validation, options.shard_count),
       panel_(options.panel, options.shard_count) {}
 
-void StreamingCampaign::IngestBatch(const std::vector<PendingRecord>& batch) {
-  const std::size_t shards = store_.shard_count();
-  // Serial pre-pass: compute every record's unit key once and group batch
-  // indices by owning shard. The grouping is a pure function of the batch
-  // contents, so each shard task sees a fixed record sequence no matter
-  // how many lanes execute.
-  std::vector<std::string> units(batch.size());
-  std::vector<std::vector<std::uint32_t>> by_shard(shards);
+StreamingCampaign::UnitGrouping StreamingCampaign::GroupByUnit(
+    const std::vector<PendingRecord>& batch) const {
+  // A unit is identified by (ASN, city) without building its key string;
+  // the views point into the batch, which outlives the grouping.
+  using UnitId = std::pair<std::uint32_t, std::string_view>;
+  struct UnitIdHash {
+    std::size_t operator()(const UnitId& id) const {
+      return std::hash<std::string_view>()(id.second) * 31u + id.first;
+    }
+  };
+  std::unordered_map<UnitId, std::uint32_t, UnitIdHash> index;
+  UnitGrouping grouping;
+  grouping.unit.resize(batch.size());
+  grouping.by_shard.resize(store_.shard_count());
+  std::vector<std::size_t> shard_of;  // per distinct unit
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    units[i] = batch[i].record.UnitKey();
-    by_shard[store_.ShardOf(units[i])].push_back(
-        static_cast<std::uint32_t>(i));
+    const SpeedTestRecord& record = batch[i].record;
+    const UnitId id{record.asn.value(), record.city};
+    std::uint32_t unit = 0;
+    // Merge order keeps each vantage's records together, so most records
+    // share the previous record's unit.
+    if (i > 0 && id == UnitId{batch[i - 1].record.asn.value(),
+                              batch[i - 1].record.city}) {
+      unit = grouping.unit[i - 1];
+    } else {
+      const auto [it, inserted] = index.try_emplace(
+          id, static_cast<std::uint32_t>(grouping.keys.size()));
+      if (inserted) {
+        grouping.keys.push_back(record.UnitKey());
+        shard_of.push_back(store_.ShardOf(grouping.keys.back()));
+      }
+      unit = it->second;
+    }
+    grouping.unit[i] = unit;
+    grouping.by_shard[shard_of[unit]].push_back(static_cast<std::uint32_t>(i));
   }
+  return grouping;
+}
+
+void StreamingCampaign::IngestBatch(const std::vector<PendingRecord>& batch) {
+  const UnitGrouping grouping = GroupByUnit(batch);
   // Telemetry-silent: the ingest fan-out is an execution-strategy detail of
   // a path contracted to produce artifacts byte-identical to the batch
   // merge (which runs no region here); counting it would leak the strategy
   // into metrics.json. Task-side metric/lineage writes still replay.
   core::RegionTelemetrySilencer silencer;
-  core::ParallelFor(shards, [&](std::size_t s) {
-    IngestShard(s, batch, units, by_shard[s]);
-  });
+  core::ParallelFor(store_.shard_count(),
+                    [&](std::size_t s) { IngestShard(s, batch, grouping); });
   ++batches_;
   ingested_ += batch.size();
 }
 
 void StreamingCampaign::IngestBatchSerial(
     const std::vector<PendingRecord>& batch) {
-  const std::size_t shards = store_.shard_count();
-  std::vector<std::string> units(batch.size());
-  std::vector<std::vector<std::uint32_t>> by_shard(shards);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    units[i] = batch[i].record.UnitKey();
-    by_shard[store_.ShardOf(units[i])].push_back(
-        static_cast<std::uint32_t>(i));
-  }
+  const UnitGrouping grouping = GroupByUnit(batch);
   // Same shard-index order the pool replays lineage buffers in, minus the
   // pool. Used by the pipelined consumer thread, which must not carve a
   // nested pool region of its own.
-  for (std::size_t s = 0; s < shards; ++s) {
-    IngestShard(s, batch, units, by_shard[s]);
+  for (std::size_t s = 0; s < store_.shard_count(); ++s) {
+    IngestShard(s, batch, grouping);
   }
   ++batches_;
   ingested_ += batch.size();
@@ -551,20 +582,20 @@ void StreamingCampaign::IngestBatchSerial(
 
 void StreamingCampaign::IngestShard(std::size_t shard,
                                     const std::vector<PendingRecord>& batch,
-                                    const std::vector<std::string>& units,
-                                    const std::vector<std::uint32_t>& indices) {
+                                    const UnitGrouping& grouping) {
   const bool lineage = obs::Lineage::enabled();
-  for (std::uint32_t i : indices) {
+  for (std::uint32_t i : grouping.by_shard[shard]) {
     const PendingRecord& pending = batch[i];
+    const std::string_view unit = grouping.keys[grouping.unit[i]];
     // Mirrors the batch merge in Platform::CommitBatch: duplicate copies
     // share id and content, one lineage verdict covers both appends,
     // and only archived copies reach the panel.
     bool archived_first = false;
     if (pending.duplicate) {
-      archived_first = store_.Append(shard, pending.record);
+      archived_first = store_.Append(shard, unit, pending.record);
     }
     const bool archived =
-        store_.Append(shard, pending.record) || archived_first;
+        store_.Append(shard, unit, pending.record) || archived_first;
     if (lineage) {
       obs::LineageRecordInfo info;
       info.id = pending.record.id.value();
@@ -579,11 +610,11 @@ void StreamingCampaign::IngestShard(std::size_t shard,
     }
     if (archived) {
       if (pending.duplicate) {
-        panel_.Observe(shard, units[i], pending.record.time,
+        panel_.Observe(shard, unit, pending.record.time,
                        pending.record.rtt_ms, pending.record.id.value());
       }
-      panel_.Observe(shard, units[i], pending.record.time,
-                     pending.record.rtt_ms, pending.record.id.value());
+      panel_.Observe(shard, unit, pending.record.time, pending.record.rtt_ms,
+                     pending.record.id.value());
     }
   }
 }

@@ -149,12 +149,23 @@ class StreamingCampaign {
   std::uint64_t ingested() const { return ingested_; }
 
  private:
+  /// A batch grouped by ⟨ASN, city⟩ unit: each distinct unit key is built
+  /// and hashed to its shard once per batch, however the batch interleaves
+  /// its units. A pure function of the batch contents, so each shard sees
+  /// a fixed record sequence no matter how many lanes execute.
+  struct UnitGrouping {
+    std::vector<std::string> keys;    ///< distinct unit keys, first-seen order
+    std::vector<std::uint32_t> unit;  ///< batch index -> index into keys
+    /// Batch indices owned by each shard, in batch order.
+    std::vector<std::vector<std::uint32_t>> by_shard;
+  };
+  UnitGrouping GroupByUnit(const std::vector<PendingRecord>& batch) const;
+
   /// Shared per-shard ingest body: one shard's slice of a batch, applied
   /// on whatever thread owns the shard for this batch (a pool task or the
-  /// serial consumer). `units[i]` is batch[i]'s precomputed unit key.
+  /// serial consumer).
   void IngestShard(std::size_t shard, const std::vector<PendingRecord>& batch,
-                   const std::vector<std::string>& units,
-                   const std::vector<std::uint32_t>& indices);
+                   const UnitGrouping& grouping);
 
   StreamingOptions options_;
   ShardedMeasurementStore store_;
@@ -285,14 +296,14 @@ class Platform {
   };
 
   void RunTests(VantageState& vantage, std::size_t count, Intent intent,
-                double congestion_signal, core::Rng& rng,
-                VantageBatch& batch);
+                const ProbePath* path, core::Rng& rng, VantageBatch& batch);
 
   /// One probe with retry/backoff; appends the record or a failure to the
-  /// batch.
-  void RunOneTest(VantageState& vantage, Intent intent,
-                  double congestion_signal, core::Rng& rng,
-                  VantageBatch& batch);
+  /// batch. `path` is the vantage's resolved path to options_.server this
+  /// step (null when unreachable): its loss rate is the congestion signal,
+  /// and without edge steering the record is sampled from it.
+  void RunOneTest(VantageState& vantage, Intent intent, const ProbePath* path,
+                  core::Rng& rng, VantageBatch& batch);
 
   /// Appends to failures_ and bumps the failure metrics (total + per
   /// ProbeFault reason), keeping the two views consistent.

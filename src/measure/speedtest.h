@@ -68,8 +68,42 @@ struct SpeedTestModelOptions {
   double mss_bytes = 1460.0;
 };
 
-/// Executes one speed test right now. Fails (kNotFound) when the vantage
-/// cannot reach the server.
+/// Everything a speed test between a vantage and a server measures that
+/// cannot change before the simulator next advances: the vantage's unit,
+/// the converged route's mean RTT and loss at Now(), and the traceroute
+/// and AS path along it. The platform resolves one per vantage per step
+/// and samples every test of that step from it (DESIGN.md §10).
+struct ProbePath {
+  core::SimTime time;
+  core::Asn asn;
+  std::string city;
+  netsim::PopIndex vantage_pop = 0;
+  netsim::PopIndex server_pop = 0;
+  netsim::AddressFamily address_family = netsim::AddressFamily::kIpv4;
+  double mean_rtt_ms = 0.0;   ///< LatencyModel::PathRttMs (no jitter)
+  double loss_rate = 0.0;     ///< LatencyModel::PathLossRate
+  double jitter_sigma = 0.0;  ///< LatencyModelOptions::jitter_sigma
+  Traceroute traceroute;
+  std::vector<core::Asn> asn_path;
+};
+
+/// Looks up the current route and resolves its ProbePath. Fails
+/// (kNotFound) when the vantage cannot reach the server. Draws nothing.
+core::Result<ProbePath> ResolveProbePath(
+    netsim::NetworkSimulator& simulator, netsim::PopIndex vantage,
+    netsim::PopIndex server,
+    netsim::AddressFamily af = netsim::AddressFamily::kIpv4);
+
+/// One speed test over a resolved path: draws path jitter, last mile,
+/// spike and throughput noise from `rng`, in that order. The record's id
+/// is left unset (the platform assigns ids at merge time).
+SpeedTestRecord SampleSpeedTest(const ProbePath& path, Intent intent,
+                                core::Rng& rng,
+                                const SpeedTestModelOptions& options = {});
+
+/// Executes one speed test right now: ResolveProbePath, then
+/// SampleSpeedTest, with a process-unique id. Fails (kNotFound) when the
+/// vantage cannot reach the server.
 core::Result<SpeedTestRecord> RunSpeedTest(
     netsim::NetworkSimulator& simulator, netsim::PopIndex vantage,
     netsim::PopIndex server, Intent intent, core::Rng& rng,

@@ -143,10 +143,9 @@ std::size_t ShardedMeasurementStore::ShardOf(std::string_view unit) const {
   return static_cast<std::size_t>(core::Fnv1a64(unit) % shards_.size());
 }
 
-bool ShardedMeasurementStore::Append(std::size_t shard,
+bool ShardedMeasurementStore::Append(std::size_t shard, std::string_view unit,
                                      const SpeedTestRecord& record) {
   Columns& arena = shards_[shard];
-  const std::string unit = record.UnitKey();
   if (auto status = ValidateRecord(record, validation_); !status.ok()) {
     const std::string reason = status.error().ToText();
     const std::string tag = QuarantineReasonTag(reason);
@@ -171,9 +170,10 @@ bool ShardedMeasurementStore::Append(std::size_t shard,
   auto it = arena.unit_index.find(unit);
   if (it == arena.unit_index.end()) {
     it = arena.unit_index
-             .emplace(unit, static_cast<std::uint32_t>(arena.unit_names.size()))
+             .emplace(std::string(unit),
+                      static_cast<std::uint32_t>(arena.unit_names.size()))
              .first;
-    arena.unit_names.push_back(unit);
+    arena.unit_names.emplace_back(unit);
   }
   arena.id.push_back(record.id.value());
   arena.time_minutes.push_back(record.time.minutes());

@@ -145,9 +145,11 @@ class ShardedMeasurementStore {
 
   /// Validating columnar append of one record copy into `shard`'s arena.
   /// Returns the same archived/quarantined verdict as
-  /// MeasurementStore::Add and bumps the same metric counters.
-  /// Precondition: shard == ShardOf(record.UnitKey()).
-  bool Append(std::size_t shard, const SpeedTestRecord& record);
+  /// MeasurementStore::Add and bumps the same metric counters. The caller
+  /// passes the record's unit key, computed once per unit per batch.
+  /// Precondition: unit == record.UnitKey() and shard == ShardOf(unit).
+  bool Append(std::size_t shard, std::string_view unit,
+              const SpeedTestRecord& record);
 
   /// One shard's arena, in append order. Parallel arrays: entry i of every
   /// column describes the i-th archived record copy of the shard.

@@ -17,6 +17,7 @@ Traceroute SimulateTraceroute(const netsim::Topology& topology,
                               const netsim::BgpRoute& route) {
   Traceroute out;
   if (route.pop_path.empty()) return out;
+  out.hops.reserve(route.pop_path.size());
   // First hop: the source PoP's own router.
   {
     TracerouteHop hop;

@@ -76,14 +76,16 @@ double LatencyModel::PathRttMs(const BgpRoute& route,
   return 2.0 * one_way;
 }
 
+double ApplyRttJitter(double mean_rtt_ms, double jitter_sigma,
+                      core::Rng& rng) {
+  const double jitter =
+      jitter_sigma > 0.0 ? std::exp(rng.Gaussian(0.0, jitter_sigma)) : 1.0;
+  return mean_rtt_ms * jitter;
+}
+
 double LatencyModel::SampleRttMs(const BgpRoute& route, core::SimTime time,
                                  core::Rng& rng) const {
-  const double mean = PathRttMs(route, time);
-  const double jitter =
-      options_.jitter_sigma > 0.0
-          ? std::exp(rng.Gaussian(0.0, options_.jitter_sigma))
-          : 1.0;
-  return mean * jitter;
+  return ApplyRttJitter(PathRttMs(route, time), options_.jitter_sigma, rng);
 }
 
 }  // namespace sisyphus::netsim

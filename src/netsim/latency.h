@@ -26,6 +26,10 @@ struct LatencyModelOptions {
   double congestion_loss_scale = 0.08;
 };
 
+/// One sampled RTT around a mean: mean_rtt_ms times lognormal jitter
+/// exp(N(0, jitter_sigma)), drawn from `rng` only when jitter_sigma > 0.
+double ApplyRttJitter(double mean_rtt_ms, double jitter_sigma, core::Rng& rng);
+
 /// Computes one-way / round-trip delays over converged BGP paths. Holds
 /// references; topology must outlive it. Per-link utilization shocks can
 /// be installed by the event layer (AddUtilizationShock).
@@ -56,7 +60,7 @@ class LatencyModel {
   /// one-way sum, assuming symmetric reverse routing.
   double PathRttMs(const BgpRoute& route, core::SimTime time) const;
 
-  /// One sampled RTT: mean path RTT times lognormal jitter (rng).
+  /// One sampled RTT: ApplyRttJitter over PathRttMs.
   double SampleRttMs(const BgpRoute& route, core::SimTime time,
                      core::Rng& rng) const;
 

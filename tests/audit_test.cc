@@ -131,6 +131,7 @@ std::uint64_t U64(const Value& parent, const std::string& key) {
 
 TEST(AuditStoreTest, RoundTripMatchesJsonLedger) {
   ScopedLineage scoped;
+  if (!Lineage::enabled()) GTEST_SKIP() << "lineage compiled out";
   RunTwoCampaigns();
 
   const std::string artifact = audit::BuildAuditArtifact(Lineage::Global());
@@ -305,6 +306,7 @@ TEST(AuditStoreTest, RejectsTruncationAndGrowth) {
 
 TEST(AuditStoreTest, RejectsCorruption) {
   ScopedLineage scoped;
+  if (!Lineage::enabled()) GTEST_SKIP() << "lineage compiled out";
   Lineage::Global().BeginRun("corruption");
   measure::FaultPlan plan;
   plan.seed = 7;

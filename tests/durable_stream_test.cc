@@ -454,11 +454,15 @@ TEST_F(DurableStreamTest, ShedOverloadIsDeterministicAcrossResume) {
   ASSERT_TRUE(reference.ok) << reference.error;
   ASSERT_EQ(reference.stats.outcome, durable::RunOutcome::kCompleted);
   ASSERT_GT(reference.stats.shed_records, 0u);
+  // Under SISYPHUS_OBS=OFF metrics and lineage are compiled out and their
+  // artifacts are empty; the crash/resume identity below still holds.
+#if !defined(SISYPHUS_OBS_DISABLED)
   EXPECT_NE(
       reference.artifacts.metrics_json.find("measure.stream.shed_overload"),
       std::string::npos);
   EXPECT_NE(reference.artifacts.lineage_json.find("shed_overload"),
             std::string::npos);
+#endif
 
   const std::string dir = MakeDir("durable-shedcrash");
   RunSpec crash;

@@ -1,8 +1,16 @@
 // Tests for speed-test execution and the measurement store.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <limits>
+#include <map>
+#include <tuple>
 
+#include "core/hash.h"
+#include "measure/export.h"
+#include "measure/faults.h"
+#include "measure/platform.h"
 #include "measure/store.h"
 #include "netsim/simulator.h"
 
@@ -296,6 +304,208 @@ TEST(StoreValidationTest, CustomBoundsRespected) {
 
   EXPECT_EQ(store.size(), 1u);
   EXPECT_EQ(store.quarantine().size(), 2u);
+}
+
+// ---- Probe-path resolution ------------------------------------------------
+
+/// The speed test as one function over a fresh route lookup, written out
+/// independently of ResolveProbePath/SampleSpeedTest: LatencyModel's own
+/// SampleRttMs and PathLossRate, then last mile, spike and throughput noise.
+SpeedTestRecord ReferenceSpeedTest(NetworkSimulator& sim,
+                                   netsim::PopIndex vantage,
+                                   netsim::PopIndex server, Intent intent,
+                                   core::Rng& rng,
+                                   const SpeedTestModelOptions& options,
+                                   netsim::AddressFamily af) {
+  const netsim::BgpRoute route = sim.RouteBetween(vantage, server, af).value();
+  SpeedTestRecord record;
+  record.time = sim.Now();
+  const auto& pop = sim.topology().GetPop(vantage);
+  record.asn = pop.asn;
+  record.city = sim.topology().cities().Get(pop.city).name;
+  record.vantage_pop = vantage;
+  record.server_pop = server;
+  record.intent = intent;
+  record.address_family = af;
+  const double path_rtt = sim.latency().SampleRttMs(route, sim.Now(), rng);
+  double last_mile = std::max(
+      0.2, rng.Gaussian(options.last_mile_base_ms, options.last_mile_sd_ms));
+  if (rng.Bernoulli(options.spike_probability)) {
+    last_mile += rng.Exponential(1.0 / options.spike_scale_ms);
+  }
+  record.rtt_ms = path_rtt + last_mile;
+  record.loss_rate = sim.latency().PathLossRate(route, sim.Now());
+  const double access_limit = options.access_capacity_mbps /
+                              (1.0 + record.rtt_ms / options.rtt_half_ms);
+  const double mathis_limit_mbps =
+      options.mathis_constant * options.mss_bytes * 8.0 /
+      (record.rtt_ms / 1000.0 *
+       std::sqrt(std::max(record.loss_rate, 1e-6))) /
+      1e6;
+  record.throughput_mbps =
+      std::min(access_limit, mathis_limit_mbps) *
+      std::exp(rng.Gaussian(0.0, options.throughput_noise_sigma));
+  record.traceroute = SimulateTraceroute(sim.topology(), route);
+  record.asn_path = route.asn_path;
+  return record;
+}
+
+/// Every field but the id, compared exactly (doubles bit for bit).
+void ExpectSameRecord(const SpeedTestRecord& a, const SpeedTestRecord& b) {
+  EXPECT_EQ(a.time, b.time);
+  EXPECT_EQ(a.asn, b.asn);
+  EXPECT_EQ(a.city, b.city);
+  EXPECT_EQ(a.vantage_pop, b.vantage_pop);
+  EXPECT_EQ(a.server_pop, b.server_pop);
+  EXPECT_EQ(std::memcmp(&a.rtt_ms, &b.rtt_ms, sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(&a.loss_rate, &b.loss_rate, sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(&a.throughput_mbps, &b.throughput_mbps,
+                        sizeof(double)),
+            0);
+  EXPECT_EQ(a.intent, b.intent);
+  EXPECT_EQ(a.address_family, b.address_family);
+  EXPECT_EQ(a.attempts, b.attempts);
+  ASSERT_EQ(a.traceroute.hops.size(), b.traceroute.hops.size());
+  for (std::size_t h = 0; h < a.traceroute.hops.size(); ++h) {
+    EXPECT_EQ(a.traceroute.hops[h].address, b.traceroute.hops[h].address);
+    EXPECT_EQ(a.traceroute.hops[h].asn, b.traceroute.hops[h].asn);
+    EXPECT_EQ(a.traceroute.hops[h].pop, b.traceroute.hops[h].pop);
+  }
+  EXPECT_EQ(a.asn_path, b.asn_path);
+}
+
+/// A user dual-homed to two transits; only one carries IPv6, and IPv4
+/// prefers the other, so the two families take different paths.
+struct DualStackFixture {
+  std::unique_ptr<NetworkSimulator> sim;
+  netsim::PopIndex user = 0, server = 0;
+
+  DualStackFixture() {
+    Topology topo;
+    const auto jnb = topo.cities().Add({"Johannesburg", {-26.2, 28.0}, 2.0});
+    user = topo.AddPop(Asn{3741}, jnb, AsRole::kAccess).value();
+    const auto v4_transit = topo.AddPop(Asn{20}, jnb, AsRole::kTransit).value();
+    const auto v6_transit = topo.AddPop(Asn{30}, jnb, AsRole::kTransit).value();
+    server = topo.AddPop(Asn{3}, jnb, AsRole::kMeasurement).value();
+    const auto a =
+        topo.AddLink(user, v4_transit, Relationship::kCustomerToProvider);
+    EXPECT_TRUE(
+        topo.AddLink(user, v6_transit, Relationship::kCustomerToProvider)
+            .ok());
+    const auto b =
+        topo.AddLink(server, v4_transit, Relationship::kCustomerToProvider);
+    EXPECT_TRUE(
+        topo.AddLink(server, v6_transit, Relationship::kCustomerToProvider)
+            .ok());
+    topo.MutableLink(a.value()).ipv6 = false;
+    topo.MutableLink(b.value()).ipv6 = false;
+    sim = std::make_unique<NetworkSimulator>(std::move(topo));
+  }
+};
+
+TEST(ProbePathTest, ResolveThenSampleEqualsRunSpeedTestBitForBit) {
+  DualStackFixture f;
+  f.sim->AdvanceTo(SimTime::FromHours(13));  // a non-trivial diurnal load
+  const SpeedTestModelOptions options;
+  for (const auto af :
+       {netsim::AddressFamily::kIpv4, netsim::AddressFamily::kIpv6}) {
+    core::Rng run_rng(99), split_rng(99), reference_rng(99);
+    auto path = ResolveProbePath(*f.sim, f.user, f.server, af);
+    ASSERT_TRUE(path.ok());
+    std::uint64_t last_id = 0;
+    for (int i = 0; i < 200; ++i) {
+      const Intent intent = i % 3 == 0 ? Intent::kUserInitiated
+                                       : Intent::kBaseline;
+      auto run =
+          RunSpeedTest(*f.sim, f.user, f.server, intent, run_rng, options, af);
+      ASSERT_TRUE(run.ok());
+      const SpeedTestRecord split =
+          SampleSpeedTest(path.value(), intent, split_rng, options);
+      const SpeedTestRecord reference = ReferenceSpeedTest(
+          *f.sim, f.user, f.server, intent, reference_rng, options, af);
+      ExpectSameRecord(run.value(), reference);
+      ExpectSameRecord(split, reference);
+      // RunSpeedTest still hands out process-unique ids; the sampled
+      // record leaves the id to the platform's merge.
+      EXPECT_GT(run.value().id.value(), last_id);
+      last_id = run.value().id.value();
+      EXPECT_EQ(split.id.value(), 0u);
+    }
+    // Same draws, same order: the three streams end aligned.
+    const std::uint64_t next = reference_rng.Next();
+    EXPECT_EQ(run_rng.Next(), next);
+    EXPECT_EQ(split_rng.Next(), next);
+  }
+  // The families really took different paths.
+  EXPECT_NE(ResolveProbePath(*f.sim, f.user, f.server,
+                             netsim::AddressFamily::kIpv4)
+                .value()
+                .asn_path,
+            ResolveProbePath(*f.sim, f.user, f.server,
+                             netsim::AddressFamily::kIpv6)
+                .value()
+                .asn_path);
+}
+
+/// Platform failure provenance must not depend on where the path is
+/// resolved: an unreachable vantage fails at the attempt that first gets
+/// past the dark and probe-loss checks, a dark vantage after max_attempts.
+/// The pinned histogram and archive digest were taken from the platform
+/// as it was when every probe looked its route up itself.
+TEST(ProbePathTest, UnreachableAndDarkVantagesKeepFailureProvenance) {
+  Topology topo;
+  const auto jnb = topo.cities().Add({"Johannesburg", {-26.2, 28.0}, 2.0});
+  const auto user = topo.AddPop(Asn{3741}, jnb, AsRole::kAccess).value();
+  const auto dark = topo.AddPop(Asn{3742}, jnb, AsRole::kAccess).value();
+  const auto island = topo.AddPop(Asn{3743}, jnb, AsRole::kAccess).value();
+  const auto transit = topo.AddPop(Asn{2}, jnb, AsRole::kTransit).value();
+  const auto server = topo.AddPop(Asn{3}, jnb, AsRole::kMeasurement).value();
+  for (const auto pop : {user, dark, server}) {
+    ASSERT_TRUE(
+        topo.AddLink(pop, transit, Relationship::kCustomerToProvider).ok());
+  }
+  NetworkSimulator sim(std::move(topo));
+  const auto no_route = ResolveProbePath(sim, island, server);
+  ASSERT_FALSE(no_route.ok());
+  EXPECT_EQ(no_route.error().code(), core::ErrorCode::kNotFound);
+
+  PlatformOptions options;
+  options.server = server;
+  Platform platform(sim, options);
+  for (const auto pop : {user, dark, island}) {
+    VantageConfig vantage;
+    vantage.pop = pop;
+    vantage.baseline_tests_per_day = 24.0;
+    vantage.user_tests_per_day = 6.0;
+    platform.AddVantage(vantage);
+  }
+  FaultPlan plan;
+  plan.seed = 11;
+  plan.probe_loss_probability = 0.3;
+  plan.vantage_outages.push_back(
+      {dark, {{SimTime::FromHours(6), SimTime::FromHours(30)}}});
+  FaultInjector injector(plan);
+  platform.SetFaultInjector(&injector);
+  core::Rng rng(31);
+  platform.Run(SimTime::FromDays(2), rng);
+
+  using Key = std::tuple<netsim::PopIndex, ProbeFault, std::uint32_t>;
+  std::map<Key, std::size_t> histogram;
+  for (const ProbeFailure& failure : platform.failures()) {
+    ++histogram[{failure.vantage, failure.reason, failure.attempts}];
+  }
+  const std::map<Key, std::size_t> expected = {
+      {{user, ProbeFault::kProbeLoss, 3}, 2},
+      {{dark, ProbeFault::kVantageOutage, 3}, 44},
+      {{island, ProbeFault::kProbeLoss, 3}, 1},
+      {{island, ProbeFault::kUnreachable, 1}, 32},
+      {{island, ProbeFault::kUnreachable, 2}, 14},
+      {{island, ProbeFault::kUnreachable, 3}, 5},
+  };
+  EXPECT_EQ(histogram, expected);
+  EXPECT_EQ(platform.store().size(), 110u);
+  EXPECT_EQ(core::Fnv1a64(StoreToCsv(platform.store())),
+            15100067749409693610ull);
 }
 
 }  // namespace

@@ -78,7 +78,9 @@ TEST(ShardedStoreTest, MirrorsBatchStoreValidation) {
   std::size_t sharded_archived = 0;
   for (const auto& r : records) {
     if (batch.Add(r)) ++batch_archived;
-    if (sharded.Append(sharded.ShardOf(r.UnitKey()), r)) ++sharded_archived;
+    if (sharded.Append(sharded.ShardOf(r.UnitKey()), r.UnitKey(), r)) {
+      ++sharded_archived;
+    }
   }
 
   EXPECT_EQ(batch_archived, 40u);
@@ -108,7 +110,7 @@ TEST(ShardedStoreTest, ShardOfPartitionsUnitsDeterministically) {
     const std::size_t shard = store.ShardOf(r.UnitKey());
     EXPECT_EQ(shard, store.ShardOf(r.UnitKey()));
     ASSERT_LT(shard, store.shard_count());
-    ASSERT_TRUE(store.Append(shard, r));
+    ASSERT_TRUE(store.Append(shard, r.UnitKey(), r));
   }
   // Every unit's arena entry lives in exactly one shard.
   std::size_t interned = 0;
@@ -123,10 +125,10 @@ TEST(ShardedStoreTest, InternsUnitsAndClampsAttempts) {
   auto r = MakeRecord(1, 3741, "East London", 60, 12.0);
   r.attempts = 1000;
   const std::size_t shard = store.ShardOf(r.UnitKey());
-  ASSERT_TRUE(store.Append(shard, r));
+  ASSERT_TRUE(store.Append(shard, r.UnitKey(), r));
   r.id = core::MeasurementId(2);
   r.attempts = 3;
-  ASSERT_TRUE(store.Append(shard, r));
+  ASSERT_TRUE(store.Append(shard, r.UnitKey(), r));
   const auto& columns = store.shard(shard);
   ASSERT_EQ(columns.size(), 2u);
   EXPECT_EQ(columns.unit[0], columns.unit[1]);  // interned once
@@ -142,7 +144,7 @@ TEST(ShardedStoreTest, ToCsvIsDeterministic) {
                                 "City" + std::to_string(i % 4),
                                 static_cast<std::int64_t>(i * 30),
                                 10.0 + static_cast<double>(i) * 0.25);
-      store.Append(store.ShardOf(r.UnitKey()), r);
+      store.Append(store.ShardOf(r.UnitKey()), r.UnitKey(), r);
     }
   };
   measure::ShardedMeasurementStore a, b;
@@ -240,6 +242,59 @@ TEST(IncrementalPanelBuilderTest, CountsObservedInHorizonOnly) {
   builder.Observe(0, "3741 / Dense", core::SimTime(60), 20.0, 1);
   builder.Observe(0, "3741 / Dense", core::SimTime(5000), 20.0, 2);  // late
   EXPECT_EQ(builder.observed(), 1u);
+}
+
+// ---- StreamingCampaign ingest grouping ------------------------------------
+
+// IngestBatch keys each distinct unit once per batch. Whatever the order of
+// units within a batch — interleaved record by record, or two units that
+// share a city or an ASN — the arenas and panel must equal appending every
+// record on its own, with its own key, in batch order.
+TEST(StreamingCampaignTest, InterleavedUnitsIngestLikePerRecordAppends) {
+  std::vector<measure::PendingRecord> batch;
+  const std::pair<std::uint32_t, const char*> units[] = {
+      {3741, "East London"}, {3742, "East London"}, {3741, "Durban"},
+      {3743, "Pretoria"}, {3742, "East London"}};
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    const auto& [asn, city] = units[i % 5];
+    measure::PendingRecord pending;
+    pending.record = MakeRecord(i + 1, asn, city,
+                                static_cast<std::int64_t>(i * 45),
+                                15.0 + static_cast<double>(i % 9));
+    if (i == 17) pending.record.rtt_ms = -1.0;  // quarantined
+    pending.duplicate = i % 11 == 0;
+    batch.push_back(pending);
+  }
+  measure::StreamingOptions options;
+  options.panel = FixtureOptions();
+  options.shard_count = 4;
+
+  measure::ShardedMeasurementStore reference({}, options.shard_count);
+  measure::IncrementalPanelBuilder reference_panel(options.panel,
+                                                   options.shard_count);
+  for (const auto& pending : batch) {
+    const std::string unit = pending.record.UnitKey();
+    const std::size_t shard = reference.ShardOf(unit);
+    for (int copy = pending.duplicate ? 2 : 1; copy > 0; --copy) {
+      if (reference.Append(shard, unit, pending.record)) {
+        reference_panel.Observe(shard, unit, pending.record.time,
+                                pending.record.rtt_ms,
+                                pending.record.id.value());
+      }
+    }
+  }
+
+  measure::StreamingCampaign pooled({}, options);
+  pooled.IngestBatch(batch);
+  measure::StreamingCampaign serial({}, options);
+  serial.IngestBatchSerial(batch);
+  for (const measure::StreamingCampaign* campaign : {&pooled, &serial}) {
+    EXPECT_EQ(campaign->store().ToCsv(), reference.ToCsv());
+    EXPECT_EQ(campaign->store().quarantined(), 1u);
+    EXPECT_EQ(campaign->store().Units().size(), 4u);
+    EXPECT_EQ(measure::PanelToCsv(campaign->FinalizePanel()),
+              measure::PanelToCsv(reference_panel.Finalize()));
+  }
 }
 
 }  // namespace

@@ -38,6 +38,9 @@ using obs::LevelShiftConfig;
 using obs::Timeline;
 using obs::TimelineReader;
 
+// Under SISYPHUS_OBS=OFF the timeline is compiled out: Enable() is a no-op,
+// nothing is sampled and every artifact is empty. Tests whose assertions
+// read sampled content or artifact bytes skip there.
 class TimelineTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -78,6 +81,7 @@ void CounterStep(Timeline& timeline, std::uint64_t step, std::uint32_t id,
 //   step 22: S+ = 5.5 + (16 - 10.3) - 0.5 = 10.7 > 8 -> fire, +5.7
 // and nothing afterwards (the detector re-centers on 16).
 TEST_F(TimelineTest, CusumFiresAtTheHandComputedStep) {
+  if (!Timeline::enabled()) GTEST_SKIP() << "timeline compiled out";
   Timeline timeline;
   LevelShiftConfig config;
   config.ewma_alpha = 0.05;
@@ -104,6 +108,7 @@ TEST_F(TimelineTest, CusumFiresAtTheHandComputedStep) {
 }
 
 TEST_F(TimelineTest, CusumFiresDownwardOnADrop) {
+  if (!Timeline::enabled()) GTEST_SKIP() << "timeline compiled out";
   Timeline timeline;
   LevelShiftConfig config;
   config.ewma_alpha = 0.05;
@@ -146,6 +151,7 @@ TEST_F(TimelineTest, QuietSeriesFiresNothing) {
 }
 
 TEST_F(TimelineTest, ChurnFiresOnCounterDeltas) {
+  if (!Timeline::enabled()) GTEST_SKIP() << "timeline compiled out";
   Timeline timeline;
   ChurnConfig config;
   config.min_delta = 5;
@@ -171,6 +177,7 @@ TEST_F(TimelineTest, ChurnFiresOnCounterDeltas) {
 // per-step *increment* mean, so a level shift in fresh observations fires
 // immediately instead of being diluted by the accumulated history.
 TEST_F(TimelineTest, RunningMeanDetectorSeesIncrementMean) {
+  if (!Timeline::enabled()) GTEST_SKIP() << "timeline compiled out";
   Timeline timeline;
   LevelShiftConfig config;
   config.ewma_alpha = 0.05;
@@ -214,6 +221,7 @@ TEST_F(TimelineTest, RunningMeanDetectorSeesIncrementMean) {
 // value (counters: zero delta), and a series first sampled mid-run is
 // dense from its first step onward.
 TEST_F(TimelineTest, DenseFillRepeatsLastValue) {
+  if (!Timeline::enabled()) GTEST_SKIP() << "timeline compiled out";
   Timeline timeline;
   const std::uint32_t counter = timeline.DeclareCounter("test.counter");
   const std::uint32_t gauge = timeline.DeclareGauge("test.gauge");
@@ -283,6 +291,7 @@ TEST_F(TimelineTest, PhaseCloseOrderDoesNotChangeTheBytes) {
 // A second campaign in the same process restarts its step counter at 1;
 // the timeline must offset it into a new epoch and stay monotone.
 TEST_F(TimelineTest, SecondCampaignGetsANewEpoch) {
+  if (!Timeline::enabled()) GTEST_SKIP() << "timeline compiled out";
   Timeline timeline;
   const std::uint32_t id = timeline.DeclareCounter("test.counter");
   for (std::uint64_t step = 1; step <= 5; ++step) {
@@ -313,6 +322,7 @@ TEST_F(TimelineTest, SecondCampaignGetsANewEpoch) {
 // samples: byte-identical artifacts, and detector state must survive the
 // round trip (the CUSUM fires post-restore exactly as it would have).
 TEST_F(TimelineTest, SaveLoadContinuesByteIdentical) {
+  if (!Timeline::enabled()) GTEST_SKIP() << "timeline compiled out";
   LevelShiftConfig config;
   config.drift = 0.5;
   config.threshold = 8.0;
@@ -373,6 +383,7 @@ std::string SmallArtifact() {
 }
 
 TEST_F(TimelineTest, ArtifactRejectsEveryTruncationAndGrowth) {
+  if (!Timeline::enabled()) GTEST_SKIP() << "timeline compiled out";
   const std::string artifact = SmallArtifact();
   ASSERT_GT(artifact.size(), core::sectioned::kHeaderSize);
 
@@ -391,6 +402,7 @@ TEST_F(TimelineTest, ArtifactRejectsEveryTruncationAndGrowth) {
 }
 
 TEST_F(TimelineTest, ArtifactRejectsCorruption) {
+  if (!Timeline::enabled()) GTEST_SKIP() << "timeline compiled out";
   const std::string artifact = SmallArtifact();
   // A flip in the header, in a section payload, and in the section table
   // each trip a distinct checksum.
@@ -547,6 +559,7 @@ class TimelineCampaignTest : public TimelineTest {
 };
 
 TEST_F(TimelineCampaignTest, StreamingTimelineByteIdenticalAt1And8Threads) {
+  if (!Timeline::enabled()) GTEST_SKIP() << "timeline compiled out";
   CampaignSpec one;
   one.threads = 1;
   const CampaignResult first = RunTimelineCampaign(one);
@@ -583,6 +596,7 @@ TEST_F(TimelineCampaignTest, StreamingTimelineByteIdenticalAt1And8Threads) {
 // has no panel builder, so no rtt.mean.* series) and must be thread-count
 // invariant too.
 TEST_F(TimelineCampaignTest, BatchTimelineByteIdenticalAt1And8Threads) {
+  if (!Timeline::enabled()) GTEST_SKIP() << "timeline compiled out";
   CampaignSpec one;
   one.streaming = false;
   one.threads = 1;
