@@ -104,6 +104,43 @@ inline std::string UnitDirectoryCount(std::string_view bytes,
       static_cast<std::uint64_t>(audit::SectionKind::kUnitIndex), 0, delta);
 }
 
+/// (e) run 0's probes_attempted raised by `delta`. audit.bin stores no
+/// attempted count — the reader derives it as emitted + probes_failed —
+/// so the run header's probes_failed and a "forged" failure reason both
+/// grow by `delta`: the run still conserves on its own, and only the
+/// reconcile against metrics.json can tell.
+inline std::string ProbesAttempted(std::string_view bytes,
+                                   std::uint64_t delta) {
+  return Rebuild(
+      bytes, audit::kAuditFormat,
+      [&](const Section& section, std::string& payload) {
+        if (section.kind !=
+                static_cast<std::uint64_t>(audit::SectionKind::kRunHeader) ||
+            section.run != 0) {
+          return;
+        }
+        core::binio::Reader in(payload);
+        core::binio::Writer out;
+        out.PutString(in.GetString());  // label
+        // emitted, untracked, delivered, quarantined, archived
+        for (int i = 0; i < 5; ++i) out.PutU64(in.GetU64());
+        out.PutU64(in.GetU64() + delta);  // probes_failed
+        const std::uint64_t reasons = in.GetU64();
+        out.PutU64(reasons + 1);
+        for (std::uint64_t i = 0; i < reasons && in.ok(); ++i) {
+          out.PutString(in.GetString());
+          out.PutU64(in.GetU64());
+        }
+        out.PutString("forged");
+        out.PutU64(delta);
+        if (!in.ok()) {
+          throw std::invalid_argument("forge: unexpected audit run header");
+        }
+        const std::size_t rest = in.remaining();
+        payload = std::move(out).Take() + payload.substr(payload.size() - rest);
+      });
+}
+
 /// (d) timeline.bin meta: steps, last_step, and every series'
 /// sample_count raised by `delta` (so the step-range and density checks
 /// still hold).

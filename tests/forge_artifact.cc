@@ -1,18 +1,24 @@
-// forge_artifact SRC_DIR OUT_DIR — writes four forged copies of a run's
-// audit.bin / timeline.bin (artifact_forge.h) for the tool-level ctest
-// fixtures, one per subdirectory of OUT_DIR:
+// forge_artifact SRC_DIR OUT_DIR — writes forged copies of a run's
+// artifacts (artifact_forge.h) for the tool-level ctest fixtures, one
+// case per subdirectory of OUT_DIR:
 //
 //   section_count/audit.bin     header section_count + 2^61
 //   table_offset/timeline.bin   meta table entry offset = 2^64 - size
 //   unit_directory/audit.bin    unit-directory counts + 2^59
 //   sample_count/timeline.bin   steps, last_step, sample counts + 2^61
+//   attempted/audit.bin         run 0's probes_attempted + 1 (with the
+//                               source metrics.json beside it)
+//   attempted/lineage.json      run 0's waterfall probes_attempted + 1
+//   json_only/                  lineage.json + metrics.json, no audit.bin
 //
-// Each forged file carries valid checksums, so the tools must reject it
-// on bounds, not on a checksum.
+// Each forged binary carries valid checksums, so the tools must reject it
+// on bounds or on conservation, not on a checksum.
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <stdexcept>
 #include <string>
 
 #include "artifact_forge.h"
@@ -37,6 +43,21 @@ void WriteFile(const fs::path& dir, const std::string& name,
   }
 }
 
+/// lineage.json with its first run's waterfall probes_attempted raised by
+/// one.
+std::string BumpJsonAttempted(std::string json) {
+  const std::string key = "\"probes_attempted\":";
+  const std::size_t at = json.find(key);
+  if (at == std::string::npos) {
+    throw std::invalid_argument("lineage.json has no probes_attempted");
+  }
+  const std::size_t begin = at + key.size();
+  const std::size_t end = json.find_first_not_of("0123456789", begin);
+  const std::uint64_t value = std::stoull(json.substr(begin, end - begin));
+  json.replace(begin, end - begin, std::to_string(value + 1));
+  return json;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -58,10 +79,18 @@ int main(int argc, char** argv) {
               forge::UnitDirectoryCount(audit, std::uint64_t{1} << 59));
     WriteFile(out / "sample_count", "timeline.bin",
               forge::SampleCounts(timeline, std::uint64_t{1} << 61));
+    const std::string lineage = ReadFile(src / "lineage.json");
+    const std::string metrics = ReadFile(src / "metrics.json");
+    WriteFile(out / "attempted", "audit.bin",
+              forge::ProbesAttempted(audit, 1));
+    WriteFile(out / "attempted", "lineage.json", BumpJsonAttempted(lineage));
+    WriteFile(out / "attempted", "metrics.json", metrics);
+    WriteFile(out / "json_only", "lineage.json", lineage);
+    WriteFile(out / "json_only", "metrics.json", metrics);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "forge_artifact: %s\n", e.what());
     return 1;
   }
-  std::printf("forged 4 artifacts under %s\n", out.string().c_str());
+  std::printf("forged 6 artifact sets under %s\n", out.string().c_str());
   return 0;
 }

@@ -1,4 +1,4 @@
-// lineageq — audit CLI over the --obs-out lineage artifacts.
+// lineageq — audit CLI over a run's indexed lineage artifact (audit.bin).
 //
 //   lineageq <obs-dir> [--run LABEL]          waterfall totals per stage
 //   lineageq <obs-dir> --unit "ASN / City"    records behind a unit's series
@@ -9,32 +9,31 @@
 //   lineageq <obs-dir> --top-k N              units/vantages by records
 //   lineageq <obs-dir> --check                conservation audit
 //   lineageq <obs-dir> --serve                REPL/batch query loop (stdin)
-//   lineageq <obs-dir> ... --json             force the JSON path
 //
-// Two interchangeable answer sources back every mode: the indexed binary
-// artifact audit.bin (memory-mapped AuditReader, used by default when
-// present — opening is O(index) and per-query work touches only the
-// relevant section) and the monolithic lineage.json (forced with
-// --json, the fallback for pre-audit artifacts). Both fill the same
-// query structs and go through the same printers, so the outputs are
-// byte-identical — CI diffs them. An audit.bin that exists but fails
-// validation is a loud error, never a silent fallback.
+// Every mode answers from audit.bin through the memory-mapped AuditReader
+// (DESIGN.md §12): opening is O(index) and a query touches only the
+// sections it needs. A missing or invalid audit.bin is a loud error. The
+// run's lineage.json holds the same ledger as text for other readers;
+// lineageq never parses it.
 //
 // `--check` verifies per-run conservation (terminal stages partition the
-// emitted records, copies sum to delivered) and then reconciles the
-// summed waterfall against the probe / store / panel counters in the
-// sibling metrics.json — any mismatch means a record was double-counted
-// or lost between layers, and the tool exits 1.
+// emitted records, copies sum to delivered, the posting lists agree with
+// the columnar stages) and then reconciles the summed waterfall against
+// the probe / store / panel counters in the sibling metrics.json — any
+// mismatch means a record was double-counted or lost between layers, and
+// the tool exits 1.
 #include <algorithm>
+#include <array>
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <map>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "artifact_io.h"
 #include "audit/reader.h"
@@ -43,32 +42,32 @@
 
 namespace {
 
+using sisyphus::audit::AuditReader;
+using sisyphus::audit::FacetCounts;
 using sisyphus::core::json::Value;
 using sisyphus::obs::kLineageStageCount;
 using sisyphus::obs::LineageStage;
+using sisyphus::obs::LineageWaterfall;
 
 int g_errors = 0;
+/// The open audit.bin; reader errors are reported against it.
+std::string g_audit_path;
 
 void Fail(const std::string& where, const std::string& what) {
   std::printf("FAIL %s: %s\n", where.c_str(), what.c_str());
   ++g_errors;
 }
 
-/// Reads `key` as an integer count; 0 when absent (pre-lineage artifacts and
-/// compiled-out builds simply have nothing to reconcile).
-std::uint64_t Count(const Value& parent, const std::string& key) {
-  const Value* found = parent.Find(key);
-  if (found == nullptr || !found->is_number()) return 0;
-  return static_cast<std::uint64_t>(found->number);
+/// The result's value, or nullptr after reporting its error.
+template <typename T>
+const T* Answer(const sisyphus::core::Result<T>& result) {
+  if (result.ok()) return &result.value();
+  Fail(g_audit_path, result.error().message());
+  return nullptr;
 }
 
-std::uint64_t SumObject(const Value* object) {
-  std::uint64_t total = 0;
-  if (object == nullptr || !object->is_object()) return total;
-  for (const auto& [_, value] : object->object) {
-    if (value.is_number()) total += static_cast<std::uint64_t>(value.number);
-  }
-  return total;
+const char* StageName(std::size_t stage) {
+  return sisyphus::obs::ToString(static_cast<LineageStage>(stage));
 }
 
 std::string DigestHex(std::uint64_t digest) {
@@ -76,6 +75,20 @@ std::string DigestHex(std::uint64_t digest) {
   std::snprintf(buffer, sizeof(buffer), "%016llx",
                 static_cast<unsigned long long>(digest));
   return std::string(buffer);
+}
+
+/// Parses a positive decimal count; false on a sign, trailing junk, zero
+/// or overflow.
+bool ParseCount(const std::string& text, std::size_t& out) {
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+  if (errno != 0 || *end != '\0' || value == 0) return false;
+  out = static_cast<std::size_t>(value);
+  return true;
 }
 
 /// Prints `count` padded plus its share of `total` ("  1234   3.2%").
@@ -87,115 +100,13 @@ void PrintShare(std::uint64_t count, std::uint64_t total) {
 }
 
 // ---------------------------------------------------------------------------
-// Source-neutral query results. Both backends fill these; one set of
-// printers renders them, so indexed and JSON answers match byte for byte.
+// Printers, one per query mode, over the reader's own result types.
 
-using FacetMap = std::map<std::string, std::uint64_t>;
-
-struct WaterfallData {
-  std::uint64_t attempted = 0, failed = 0, emitted = 0, delivered = 0;
-  std::vector<std::pair<std::string, std::uint64_t>> failure_reasons;
-  /// (stage name, count) in legend order.
-  std::vector<std::pair<std::string, std::uint64_t>> terminal;
-  bool has_panel = false;
-  std::uint64_t units_kept = 0, units_dropped = 0, units_empty = 0;
-  std::uint64_t cells_observed = 0, cells_masked = 0;
-};
-
-struct CellRow {
-  std::uint64_t period = 0;
-  std::uint64_t count = 0;
-  std::string digest;
-};
-
-struct UnitData {
-  bool found = false;
-  bool dropped = false;
-  double missing_fraction = 0.0;
-  std::uint64_t observed_cells = 0, masked_cells = 0;
-  bool used_treated = false, used_donor = false;
-  bool has_cells = false;
-  std::vector<CellRow> cells;
-};
-
-struct CompData {
-  std::uint64_t records = 0, cells = 0;
-  std::string digest;
-  FacetMap intents, faults, vantages;
-};
-
-enum class LookupStatus { kOk, kNotFound, kNoEntries, kError };
-
-struct EstimateData {
-  std::string treated;
-  double effect = 0.0;
-  bool has_p = false;
-  double p_value = 0.0;
-  std::size_t donor_count = 0;
-  CompData treated_comp, donor_comp;
-};
-
-struct TerminalData {
-  std::uint64_t count = 0;
-  std::uint64_t emitted = 0;
-  FacetMap intents, faults, vantages;
-};
-
-struct FacetSummary {
-  std::uint64_t rows = 0;
-  FacetMap counts;
-};
-
-struct TopEntry {
-  std::string name;
-  std::uint64_t records = 0;
-  bool dropped = false;
-};
-
-struct TopKData {
-  std::vector<TopEntry> units;
-  std::vector<TopEntry> vantages;
-};
-
-/// Summed-across-runs waterfall, reconciled against metrics.json at the end.
-struct CheckTotals {
-  std::uint64_t attempted = 0, failed = 0, emitted = 0;
-  std::uint64_t archived = 0, quarantined = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t units_kept = 0, units_dropped = 0, units_empty = 0;
-  std::uint64_t cells_observed = 0, cells_masked = 0;
-};
-
-/// One query backend: the mmap'd audit.bin index or parsed lineage.json.
-class Source {
- public:
-  virtual ~Source() = default;
-  virtual std::size_t run_count() const = 0;
-  virtual std::string run_label(std::size_t run) const = 0;
-  /// Fill calls return false after recording a Fail (malformed source).
-  virtual bool GetWaterfall(std::size_t run, WaterfallData& out) = 0;
-  virtual bool GetUnit(std::size_t run, const std::string& name,
-                       UnitData& out) = 0;
-  virtual LookupStatus GetEstimate(std::size_t run, const std::string& label,
-                                   EstimateData& out) = 0;
-  virtual bool GetTerminal(std::size_t run, LineageStage stage,
-                           TerminalData& out) = 0;
-  /// `which` is "intents" or "vantages".
-  virtual bool GetFacet(std::size_t run, const std::string& which,
-                        FacetSummary& out) = 0;
-  virtual bool GetTopK(std::size_t run, TopKData& out) = 0;
-  /// Audits every run's conservation, accumulating into `sums`.
-  virtual void Check(CheckTotals& sums) = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Printers (shared by both sources)
-
-void PrintWaterfallData(const WaterfallData& w) {
+void PrintWaterfall(const LineageWaterfall& w) {
   std::printf("probes attempted %llu  failed %llu  emitted %llu  "
               "delivered copies %llu\n",
-              static_cast<unsigned long long>(w.attempted),
-              static_cast<unsigned long long>(w.failed),
+              static_cast<unsigned long long>(w.probes_attempted),
+              static_cast<unsigned long long>(w.probes_failed),
               static_cast<unsigned long long>(w.emitted),
               static_cast<unsigned long long>(w.delivered));
   for (const auto& [reason, count] : w.failure_reasons) {
@@ -203,48 +114,49 @@ void PrintWaterfallData(const WaterfallData& w) {
                 static_cast<unsigned long long>(count));
   }
   std::printf("  %-18s %10s  %6s\n", "terminal stage", "records", "share");
-  for (const auto& [stage, count] : w.terminal) {
-    if (count == 0) continue;
-    std::printf("  %-18s ", stage.c_str());
-    PrintShare(count, w.emitted);
+  for (std::size_t s = 0; s < kLineageStageCount; ++s) {
+    if (w.terminal[s] == 0) continue;
+    std::printf("  %-18s ", StageName(s));
+    PrintShare(w.terminal[s], w.emitted);
   }
-  if (w.has_panel) {
-    std::printf("panel: units kept %llu  dropped %llu  empty %llu  "
-                "cells observed %llu  masked %llu\n",
-                static_cast<unsigned long long>(w.units_kept),
-                static_cast<unsigned long long>(w.units_dropped),
-                static_cast<unsigned long long>(w.units_empty),
-                static_cast<unsigned long long>(w.cells_observed),
-                static_cast<unsigned long long>(w.cells_masked));
-  }
+  std::printf("panel: units kept %llu  dropped %llu  empty %llu  "
+              "cells observed %llu  masked %llu\n",
+              static_cast<unsigned long long>(w.units_kept),
+              static_cast<unsigned long long>(w.units_dropped),
+              static_cast<unsigned long long>(w.units_empty),
+              static_cast<unsigned long long>(w.cells_observed),
+              static_cast<unsigned long long>(w.cells_masked));
 }
 
-void PrintUnitData(const std::string& unit, const UnitData& data) {
+void PrintUnit(const std::string& unit,
+               const sisyphus::audit::UnitInfo& info) {
   std::printf("unit '%s': %s  missing_fraction %.3f  observed cells %llu  "
               "masked %llu\n",
-              unit.c_str(), data.dropped ? "DROPPED (sparsity)" : "kept",
-              data.missing_fraction,
-              static_cast<unsigned long long>(data.observed_cells),
-              static_cast<unsigned long long>(data.masked_cells));
+              unit.c_str(), info.dropped ? "DROPPED (sparsity)" : "kept",
+              info.missing_fraction,
+              static_cast<unsigned long long>(info.observed_cells),
+              static_cast<unsigned long long>(info.masked_cells));
   std::printf("used as: treated=%s donor=%s\n",
-              data.used_treated ? "yes" : "no",
-              data.used_donor ? "yes" : "no");
-  if (!data.has_cells) return;
+              info.used_treated ? "yes" : "no",
+              info.used_donor ? "yes" : "no");
   std::uint64_t records = 0;
-  for (const CellRow& cell : data.cells) records += cell.count;
+  for (const sisyphus::audit::CellInfo& cell : info.cells) {
+    records += cell.count;
+  }
   std::printf("%llu records across %zu non-empty cells\n",
-              static_cast<unsigned long long>(records), data.cells.size());
+              static_cast<unsigned long long>(records), info.cells.size());
   std::printf("  %-8s %8s  %s\n", "period", "records", "digest");
-  for (const CellRow& cell : data.cells) {
+  for (const sisyphus::audit::CellInfo& cell : info.cells) {
     std::printf("  %-8llu %8llu  %s\n",
                 static_cast<unsigned long long>(cell.period),
                 static_cast<unsigned long long>(cell.count),
-                cell.digest.c_str());
+                DigestHex(cell.digest).c_str());
   }
 }
 
 /// One "    intents:  a=1  b=2" facet line, capped at 8 entries.
-void PrintFacetLine(const char* facet, const FacetMap& counts) {
+void PrintFacetLine(const char* facet,
+                    const std::map<std::string, std::uint64_t>& counts) {
   if (counts.empty()) return;
   std::printf("    %s:", facet);
   std::size_t shown = 0;
@@ -259,731 +171,174 @@ void PrintFacetLine(const char* facet, const FacetMap& counts) {
   std::printf("\n");
 }
 
-void PrintCompData(const char* prefix, const CompData& comp) {
+void PrintFacets(const FacetCounts& facets) {
+  PrintFacetLine("intents", facets.intents);
+  PrintFacetLine("faults", facets.faults);
+  PrintFacetLine("vantages", facets.vantages);
+}
+
+void PrintComposition(const char* prefix,
+                      const sisyphus::audit::CompositionInfo& comp) {
   std::printf("  %-7s pool: %llu records in %llu cells  digest %s\n", prefix,
               static_cast<unsigned long long>(comp.records),
               static_cast<unsigned long long>(comp.cells),
-              comp.digest.c_str());
-  PrintFacetLine("intents", comp.intents);
-  PrintFacetLine("faults", comp.faults);
-  PrintFacetLine("vantages", comp.vantages);
+              DigestHex(comp.digest).c_str());
+  PrintFacets(comp.facets);
 }
 
-void PrintEstimateData(const std::string& label, const EstimateData& data) {
+void PrintEstimate(const std::string& label,
+                   const sisyphus::audit::EstimateInfo& info) {
   std::printf("estimate '%s': treated '%s'  effect %.4f", label.c_str(),
-              data.treated.c_str(), data.effect);
-  if (data.has_p) std::printf("  p=%.4f", data.p_value);
-  std::printf("  donors %zu\n", data.donor_count);
-  PrintCompData("treated", data.treated_comp);
-  PrintCompData("donor", data.donor_comp);
+              info.treated.c_str(), info.effect);
+  if (!std::isnan(info.p_value)) std::printf("  p=%.4f", info.p_value);
+  std::printf("  donors %zu\n", info.donors.size());
+  PrintComposition("treated", info.treated_comp);
+  PrintComposition("donor", info.donor_comp);
 }
 
-void PrintTerminalData(const std::string& stage, const TerminalData& data) {
-  std::printf("terminal '%s': ", stage.c_str());
-  PrintShare(data.count, data.emitted);
-  PrintFacetLine("intents", data.intents);
-  PrintFacetLine("faults", data.faults);
-  PrintFacetLine("vantages", data.vantages);
-}
-
-void PrintFacetSummary(const char* noun, const FacetSummary& data) {
+/// Whole-run intent or vantage counts. Every record resolves to exactly
+/// one terminal stage, so the nine per-stage facet maps partition the run:
+/// summing them answers from the index without touching the columnar
+/// arrays (O(facets), not O(records)).
+void PrintFacetSummary(const AuditReader& audit, std::size_t run,
+                       bool intents) {
+  std::map<std::string, std::uint64_t> counts;
+  for (std::size_t s = 0; s < kLineageStageCount; ++s) {
+    const auto slice = audit.Terminal(run, static_cast<LineageStage>(s));
+    if (Answer(slice) == nullptr) return;
+    const FacetCounts& facets = slice.value().facets;
+    for (const auto& [name, count] :
+         intents ? facets.intents : facets.vantages) {
+      counts[name] += count;
+    }
+  }
+  const std::uint64_t rows = audit.run(run).record_rows;
   std::printf("%llu records across %zu %s:\n",
-              static_cast<unsigned long long>(data.rows), data.counts.size(),
-              noun);
-  for (const auto& [name, count] : data.counts) {
+              static_cast<unsigned long long>(rows), counts.size(),
+              intents ? "intents" : "vantages");
+  for (const auto& [name, count] : counts) {
     std::printf("  %-18s ", name.c_str());
-    PrintShare(count, data.rows);
+    PrintShare(count, rows);
   }
 }
 
-void PrintTopK(const TopKData& data, std::size_t k) {
-  const std::size_t unit_count = std::min(k, data.units.size());
+void PrintTopK(const sisyphus::audit::Rankings& ranked, std::size_t k) {
+  const std::size_t unit_count = std::min(k, ranked.units.size());
   std::printf("top %zu of %zu units by contributing records:\n", unit_count,
-              data.units.size());
+              ranked.units.size());
   for (std::size_t i = 0; i < unit_count; ++i) {
-    const TopEntry& entry = data.units[i];
+    const sisyphus::audit::UnitRank& unit = ranked.units[i];
     std::printf("  %10llu  %s%s\n",
-                static_cast<unsigned long long>(entry.records),
-                entry.name.c_str(), entry.dropped ? "  (dropped)" : "");
+                static_cast<unsigned long long>(unit.records),
+                unit.name.c_str(), unit.dropped ? "  (dropped)" : "");
   }
-  const std::size_t vantage_count = std::min(k, data.vantages.size());
+  const std::size_t vantage_count = std::min(k, ranked.vantages.size());
   std::printf("top %zu of %zu vantages by records:\n", vantage_count,
-              data.vantages.size());
+              ranked.vantages.size());
   for (std::size_t i = 0; i < vantage_count; ++i) {
-    const TopEntry& entry = data.vantages[i];
-    std::printf("  %10llu  vantage %s\n",
-                static_cast<unsigned long long>(entry.records),
-                entry.name.c_str());
+    const sisyphus::audit::VantageRank& vantage = ranked.vantages[i];
+    std::printf("  %10llu  vantage %u\n",
+                static_cast<unsigned long long>(vantage.records),
+                static_cast<unsigned>(vantage.vantage));
   }
 }
 
 // ---------------------------------------------------------------------------
-// JSON source (lineage.json; --json or pre-audit artifacts)
+// --check
 
-/// Decoded size of an IdRunSet [gap, len, ...] encoding.
-std::uint64_t RunEncodingSize(const Value* encoded) {
-  std::uint64_t total = 0;
-  if (encoded == nullptr || !encoded->is_array()) return total;
-  for (std::size_t i = 1; i < encoded->array.size(); i += 2) {
-    total += static_cast<std::uint64_t>(encoded->array[i].number);
+/// Summed-across-runs waterfall, reconciled against metrics.json at the end.
+struct CheckTotals {
+  std::uint64_t attempted = 0, failed = 0, emitted = 0;
+  std::uint64_t archived = 0, quarantined = 0;
+  std::uint64_t shed = 0;
+  std::uint64_t units_kept = 0, units_dropped = 0, units_empty = 0;
+  std::uint64_t cells_observed = 0, cells_masked = 0;
+};
+
+/// Audits one run's conservation and adds its waterfall to `sums`. The
+/// index stores no probes_attempted of its own — the reader derives it as
+/// emitted + probes_failed — so that identity holds by construction and
+/// the attempted count is checked against metrics.json in Reconcile.
+void CheckRun(const AuditReader& audit, std::size_t run, CheckTotals& sums) {
+  const sisyphus::audit::RunSummary& summary = audit.run(run);
+  const LineageWaterfall& w = summary.waterfall;
+  const std::string& where = summary.label;
+
+  std::uint64_t reason_sum = 0;
+  for (const auto& [_, count] : w.failure_reasons) reason_sum += count;
+  if (reason_sum != w.probes_failed) {
+    Fail(where, "failure_reasons do not sum to probes_failed");
   }
-  return total;
+  if (w.untracked != 0) {
+    Fail(where, std::to_string(w.untracked) +
+                    " record(s) never reached a terminal state");
+  }
+  std::uint64_t terminal_sum = 0;
+  for (std::uint64_t count : w.terminal) terminal_sum += count;
+  if (terminal_sum != w.emitted) {
+    Fail(where, "terminal stages sum to " + std::to_string(terminal_sum) +
+                    ", emitted is " + std::to_string(w.emitted));
+  }
+  if (w.archived_copies + w.quarantined_copies != w.delivered) {
+    Fail(where, "archived + quarantined copies != delivered");
+  }
+  if (summary.record_rows != w.emitted) {
+    Fail(where + ".records",
+         "count " + std::to_string(summary.record_rows) +
+             " != waterfall.emitted " + std::to_string(w.emitted));
+  }
+
+  // Recompute the stage histogram and copy total from the columnar
+  // section, then cross-check the terminal posting lists against it —
+  // the index must agree with the raw columns it claims to summarize.
+  const auto records = audit.Records(run);
+  const sisyphus::audit::RecordColumns* columns = Answer(records);
+  if (columns == nullptr) return;
+  std::array<std::uint64_t, kLineageStageCount> histogram{};
+  std::uint64_t copy_sum = 0;
+  for (std::uint64_t i = 0; i < columns->count; ++i) {
+    const std::uint8_t stage = columns->stage[i];
+    if (stage < kLineageStageCount) ++histogram[stage];
+    copy_sum += columns->copies[i];
+  }
+  for (std::size_t s = 0; s < kLineageStageCount; ++s) {
+    const std::string name = StageName(s);
+    if (w.terminal[s] != histogram[s]) {
+      Fail(where + ".terminal." + name,
+           "rollup says " + std::to_string(w.terminal[s]) +
+               ", per-record stages say " + std::to_string(histogram[s]));
+    }
+    const auto slice = audit.Terminal(run, static_cast<LineageStage>(s));
+    if (Answer(slice) != nullptr && slice.value().count != histogram[s]) {
+      Fail(where + ".terminal_index." + name,
+           "posting list has " + std::to_string(slice.value().count) +
+               " id(s), per-record stages say " +
+               std::to_string(histogram[s]));
+    }
+  }
+  if (copy_sum != w.delivered) {
+    Fail(where + ".records.copies",
+         "sum " + std::to_string(copy_sum) + " != waterfall.delivered " +
+             std::to_string(w.delivered));
+  }
+
+  sums.attempted += w.probes_attempted;
+  sums.failed += w.probes_failed;
+  sums.emitted += w.emitted;
+  sums.archived += w.archived_copies;
+  sums.quarantined += w.quarantined_copies;
+  // Records dropped by the streaming overload-shed policy terminate in
+  // shed_overload with zero delivered copies, so they count toward
+  // emitted but not toward archived/quarantined — reconciled against the
+  // measure.stream.shed_overload counter below.
+  sums.shed +=
+      w.terminal[static_cast<std::size_t>(LineageStage::kShedOverload)];
+  sums.units_kept += w.units_kept;
+  sums.units_dropped += w.units_dropped;
+  sums.units_empty += w.units_empty;
+  sums.cells_observed += w.cells_observed;
+  sums.cells_masked += w.cells_masked;
 }
-
-class JsonSource : public Source {
- public:
-  /// Loads and validates lineage.json; nullptr after recording Fail(s).
-  static std::unique_ptr<JsonSource> Load(const std::string& dir) {
-    auto source = std::unique_ptr<JsonSource>(new JsonSource());
-    if (!sisyphus::tools::LoadJsonArtifact(dir + "/lineage.json",
-                                           source->lineage_,
-                                           /*required=*/true, Fail)) {
-      return nullptr;
-    }
-    if (const Value* schema = source->lineage_.Find("schema");
-        schema == nullptr || schema->string != "sisyphus.lineage/1") {
-      Fail("lineage.schema", "expected sisyphus.lineage/1");
-      return nullptr;
-    }
-    source->runs_ = source->lineage_.Find("runs");
-    if (source->runs_ == nullptr || !source->runs_->is_array()) {
-      Fail("lineage.runs", "missing");
-      return nullptr;
-    }
-    if (source->runs_->array.empty()) {
-      // An artifact with zero runs has nothing to audit; treating it as a
-      // pass would let a truncated write (or a binary built with lineage
-      // compiled out) slip through CI unnoticed.
-      Fail("lineage.runs",
-           "no runs recorded — artifact truncated, or the producing binary "
-           "ran with lineage disabled");
-      return nullptr;
-    }
-    return source;
-  }
-
-  std::size_t run_count() const override { return runs_->array.size(); }
-
-  std::string run_label(std::size_t run) const override {
-    const Value* label = runs_->array[run].Find("label");
-    return label != nullptr ? label->string
-                            : ("run[" + std::to_string(run) + "]");
-  }
-
-  bool GetWaterfall(std::size_t run, WaterfallData& out) override {
-    const Value* waterfall = runs_->array[run].Find("waterfall");
-    if (waterfall == nullptr || !waterfall->is_object()) {
-      Fail("run.waterfall", "missing");
-      return false;
-    }
-    out.attempted = Count(*waterfall, "probes_attempted");
-    out.failed = Count(*waterfall, "probes_failed");
-    out.emitted = Count(*waterfall, "emitted");
-    out.delivered = Count(*waterfall, "delivered");
-    if (const Value* reasons = waterfall->Find("failure_reasons");
-        reasons != nullptr && reasons->is_object()) {
-      for (const auto& [reason, count] : reasons->object) {
-        out.failure_reasons.emplace_back(
-            reason, static_cast<std::uint64_t>(count.number));
-      }
-    }
-    if (const Value* terminal = waterfall->Find("terminal");
-        terminal != nullptr && terminal->is_object()) {
-      for (const auto& [stage, count] : terminal->object) {
-        out.terminal.emplace_back(stage,
-                                  static_cast<std::uint64_t>(count.number));
-      }
-    }
-    if (const Value* panel = waterfall->Find("panel");
-        panel != nullptr && panel->is_object()) {
-      out.has_panel = true;
-      out.units_kept = Count(*panel, "units_kept");
-      out.units_dropped = Count(*panel, "units_dropped");
-      out.units_empty = Count(*panel, "units_empty");
-      out.cells_observed = Count(*panel, "cells_observed");
-      out.cells_masked = Count(*panel, "cells_masked");
-    }
-    return true;
-  }
-
-  bool GetUnit(std::size_t run, const std::string& name,
-               UnitData& out) override {
-    const Value* units = runs_->array[run].Find("panel_units");
-    const Value* ledger = units != nullptr ? units->Find(name) : nullptr;
-    if (ledger == nullptr) return true;  // found stays false
-    out.found = true;
-    const Value* dropped = ledger->Find("dropped");
-    out.dropped = dropped != nullptr && dropped->boolean;
-    const Value* missing = ledger->Find("missing_fraction");
-    out.missing_fraction = missing != nullptr ? missing->number : 0.0;
-    out.observed_cells = Count(*ledger, "observed_cells");
-    out.masked_cells = Count(*ledger, "masked_cells");
-    const Value* used_treated = ledger->Find("used_treated");
-    out.used_treated = used_treated != nullptr && used_treated->boolean;
-    const Value* used_donor = ledger->Find("used_donor");
-    out.used_donor = used_donor != nullptr && used_donor->boolean;
-    const Value* cells = ledger->Find("cells");
-    if (cells == nullptr || !cells->is_array()) return true;
-    out.has_cells = true;
-    for (const Value& cell : cells->array) {
-      const Value* digest = cell.Find("digest");
-      out.cells.push_back({Count(cell, "period"), Count(cell, "count"),
-                           digest != nullptr ? digest->string : "?"});
-    }
-    return true;
-  }
-
-  LookupStatus GetEstimate(std::size_t run, const std::string& label,
-                           EstimateData& out) override {
-    const Value* estimates = runs_->array[run].Find("estimates");
-    if (estimates == nullptr || !estimates->is_array()) {
-      return LookupStatus::kNoEntries;
-    }
-    for (const Value& estimate : estimates->array) {
-      const Value* found = estimate.Find("label");
-      if (found == nullptr || found->string != label) continue;
-      const Value* treated = estimate.Find("treated");
-      out.treated = treated != nullptr ? treated->string : "";
-      const Value* effect = estimate.Find("effect");
-      out.effect = effect != nullptr ? effect->number : 0.0;
-      const Value* p_value = estimate.Find("p_value");
-      out.has_p = p_value != nullptr && p_value->is_number();
-      if (out.has_p) out.p_value = p_value->number;
-      const Value* donors = estimate.Find("donors");
-      out.donor_count = donors != nullptr ? donors->array.size() : 0;
-      FillComposition(estimate, "treated", out.treated_comp);
-      FillComposition(estimate, "donor", out.donor_comp);
-      return LookupStatus::kOk;
-    }
-    return LookupStatus::kNotFound;
-  }
-
-  bool GetTerminal(std::size_t run, LineageStage stage,
-                   TerminalData& out) override {
-    WaterfallData waterfall;
-    if (!GetWaterfall(run, waterfall)) return false;
-    out.emitted = waterfall.emitted;
-    const Value* records = runs_->array[run].Find("records");
-    if (records == nullptr || !records->is_object()) {
-      Fail("run.records", "missing");
-      return false;
-    }
-    const Value* stages = records->Find("stage");
-    const Value* intents = records->Find("intent");
-    const Value* faults = records->Find("fault_mask");
-    const Value* vantages = records->Find("vantage");
-    if (stages == nullptr || !stages->is_array()) {
-      Fail("run.records.stage", "missing");
-      return false;
-    }
-    const auto code = static_cast<double>(stage);
-    for (std::size_t i = 0; i < stages->array.size(); ++i) {
-      if (stages->array[i].number != code) continue;
-      ++out.count;
-      AddRecordFacets(intents, faults, vantages, i, out.intents, out.faults,
-                      out.vantages);
-    }
-    return true;
-  }
-
-  bool GetFacet(std::size_t run, const std::string& which,
-                FacetSummary& out) override {
-    const Value* records = runs_->array[run].Find("records");
-    const Value* column =
-        records != nullptr
-            ? records->Find(which == "intents" ? "intent" : "vantage")
-            : nullptr;
-    if (column == nullptr || !column->is_array()) {
-      Fail("run.records", "missing");
-      return false;
-    }
-    out.rows = column->array.size();
-    for (const Value& value : column->array) {
-      const auto code = static_cast<std::uint64_t>(value.number);
-      if (which == "intents") {
-        ++out.counts[sisyphus::obs::LineageIntentName(
-            static_cast<std::uint8_t>(code))];
-      } else {
-        ++out.counts[std::to_string(code)];
-      }
-    }
-    return true;
-  }
-
-  bool GetTopK(std::size_t run, TopKData& out) override {
-    const Value* units = runs_->array[run].Find("panel_units");
-    if (units != nullptr && units->is_object()) {
-      for (const auto& [name, unit] : units->object) {
-        TopEntry entry;
-        entry.name = name;
-        const Value* dropped = unit.Find("dropped");
-        entry.dropped = dropped != nullptr && dropped->boolean;
-        if (entry.dropped) {
-          entry.records = RunEncodingSize(unit.Find("dropped_ids"));
-        } else if (const Value* cells = unit.Find("cells");
-                   cells != nullptr && cells->is_array()) {
-          for (const Value& cell : cells->array) {
-            entry.records += Count(cell, "count");
-          }
-        }
-        out.units.push_back(std::move(entry));
-      }
-    }
-    std::sort(out.units.begin(), out.units.end(),
-              [](const TopEntry& a, const TopEntry& b) {
-                if (a.records != b.records) return a.records > b.records;
-                return a.name < b.name;
-              });
-    const Value* records = runs_->array[run].Find("records");
-    const Value* vantages =
-        records != nullptr ? records->Find("vantage") : nullptr;
-    if (vantages != nullptr && vantages->is_array()) {
-      std::map<std::uint64_t, std::uint64_t> counts;
-      for (const Value& value : vantages->array) {
-        ++counts[static_cast<std::uint64_t>(value.number)];
-      }
-      for (const auto& [vantage, count] : counts) {
-        out.vantages.push_back({std::to_string(vantage), count, false});
-      }
-      std::sort(out.vantages.begin(), out.vantages.end(),
-                [&counts](const TopEntry& a, const TopEntry& b) {
-                  if (a.records != b.records) return a.records > b.records;
-                  return std::stoull(a.name) < std::stoull(b.name);
-                });
-    }
-    return true;
-  }
-
-  void Check(CheckTotals& sums) override {
-    for (std::size_t i = 0; i < runs_->array.size(); ++i) {
-      CheckRun(runs_->array[i], run_label(i), sums);
-    }
-  }
-
- private:
-  JsonSource() = default;
-
-  static void AddRecordFacets(const Value* intents, const Value* faults,
-                              const Value* vantages, std::size_t i,
-                              FacetMap& intent_out, FacetMap& fault_out,
-                              FacetMap& vantage_out) {
-    if (intents != nullptr && intents->is_array() &&
-        i < intents->array.size()) {
-      ++intent_out[sisyphus::obs::LineageIntentName(
-          static_cast<std::uint8_t>(intents->array[i].number))];
-    }
-    if (faults != nullptr && faults->is_array() && i < faults->array.size()) {
-      const auto mask =
-          static_cast<std::uint8_t>(faults->array[i].number);
-      for (std::size_t bit = 0;
-           bit < sisyphus::obs::kLineageFaultNames.size(); ++bit) {
-        if (mask & (1u << bit)) {
-          ++fault_out[sisyphus::obs::kLineageFaultNames[bit]];
-        }
-      }
-    }
-    if (vantages != nullptr && vantages->is_array() &&
-        i < vantages->array.size()) {
-      ++vantage_out[std::to_string(
-          static_cast<std::uint64_t>(vantages->array[i].number))];
-    }
-  }
-
-  static void FillComposition(const Value& estimate, const char* prefix,
-                              CompData& out) {
-    out.records = Count(estimate, std::string(prefix) + "_records");
-    out.cells = Count(estimate, std::string(prefix) + "_cells");
-    const Value* digest = estimate.Find(std::string(prefix) + "_digest");
-    out.digest = digest != nullptr ? digest->string : "?";
-    const auto facet = [&](const char* name, FacetMap& map) {
-      const Value* breakdown =
-          estimate.Find(std::string(prefix) + "_" + name);
-      if (breakdown == nullptr || !breakdown->is_object()) return;
-      for (const auto& [key, count] : breakdown->object) {
-        map[key] = static_cast<std::uint64_t>(count.number);
-      }
-    };
-    facet("intents", out.intents);
-    facet("faults", out.faults);
-    facet("vantages", out.vantages);
-  }
-
-  static void CheckRun(const Value& run, const std::string& where,
-                       CheckTotals& sums) {
-    const Value* waterfall = run.Find("waterfall");
-    if (waterfall == nullptr || !waterfall->is_object()) {
-      Fail(where + ".waterfall", "missing");
-      return;
-    }
-    const std::uint64_t attempted = Count(*waterfall, "probes_attempted");
-    const std::uint64_t failed = Count(*waterfall, "probes_failed");
-    const std::uint64_t emitted = Count(*waterfall, "emitted");
-    const std::uint64_t delivered = Count(*waterfall, "delivered");
-    const std::uint64_t quarantined = Count(*waterfall, "quarantined_copies");
-    const std::uint64_t archived = Count(*waterfall, "archived_copies");
-
-    // Conservation within the run: stages partition the emitted records.
-    if (attempted != emitted + failed) {
-      Fail(where, "probes_attempted " + std::to_string(attempted) +
-                      " != emitted + failed " +
-                      std::to_string(emitted + failed));
-    }
-    if (SumObject(waterfall->Find("failure_reasons")) != failed) {
-      Fail(where, "failure_reasons do not sum to probes_failed");
-    }
-    if (const std::uint64_t untracked = Count(*waterfall, "untracked");
-        untracked != 0) {
-      Fail(where, std::to_string(untracked) +
-                      " record(s) never reached a terminal state");
-    }
-    const Value* terminal = waterfall->Find("terminal");
-    if (const std::uint64_t terminal_sum = SumObject(terminal);
-        terminal_sum != emitted) {
-      Fail(where, "terminal stages sum to " + std::to_string(terminal_sum) +
-                      ", emitted is " + std::to_string(emitted));
-    }
-    if (archived + quarantined != delivered) {
-      Fail(where, "archived + quarantined copies != delivered");
-    }
-
-    // The columnar per-record dump must agree with the rollup: recompute
-    // the stage histogram and the copy total from the arrays themselves.
-    const Value* records = run.Find("records");
-    if (records != nullptr && records->is_object()) {
-      const std::uint64_t count = Count(*records, "count");
-      if (count != emitted) {
-        Fail(where + ".records", "count " + std::to_string(count) +
-                                     " != waterfall.emitted " +
-                                     std::to_string(emitted));
-      }
-      const Value* stage = records->Find("stage");
-      const Value* copies = records->Find("copies");
-      for (const char* column : {"vantage", "intent", "attempts",
-                                 "fault_mask", "copies", "stage"}) {
-        const Value* array = records->Find(column);
-        if (array == nullptr || !array->is_array() ||
-            array->array.size() != count) {
-          Fail(where + ".records." + column, "missing or wrong length");
-        }
-      }
-      if (stage != nullptr && stage->is_array() && terminal != nullptr) {
-        std::map<std::size_t, std::uint64_t> histogram;
-        for (const Value& s : stage->array) {
-          ++histogram[static_cast<std::size_t>(s.number)];
-        }
-        std::size_t index = 0;
-        for (const auto& [name, stage_count] : terminal->object) {
-          const auto expected =
-              static_cast<std::uint64_t>(stage_count.number);
-          const std::uint64_t actual =
-              histogram.count(index) ? histogram[index] : 0;
-          if (expected != actual) {
-            Fail(where + ".terminal." + name,
-                 "rollup says " + std::to_string(expected) +
-                     ", per-record stages say " + std::to_string(actual));
-          }
-          ++index;
-        }
-      }
-      if (copies != nullptr && copies->is_array()) {
-        std::uint64_t copy_sum = 0;
-        for (const Value& c : copies->array) {
-          copy_sum += static_cast<std::uint64_t>(c.number);
-        }
-        if (copy_sum != delivered) {
-          Fail(where + ".records.copies",
-               "sum " + std::to_string(copy_sum) +
-                   " != waterfall.delivered " + std::to_string(delivered));
-        }
-      }
-    }
-
-    sums.attempted += attempted;
-    sums.failed += failed;
-    sums.emitted += emitted;
-    sums.archived += archived;
-    sums.quarantined += quarantined;
-    // Records dropped by the streaming overload-shed policy terminate in
-    // shed_overload with zero delivered copies, so they count toward
-    // emitted but not toward archived/quarantined — reconciled against the
-    // measure.stream.shed_overload counter below.
-    if (terminal != nullptr && terminal->is_object()) {
-      sums.shed += Count(*terminal, "shed_overload");
-    }
-    if (const Value* panel = waterfall->Find("panel");
-        panel != nullptr && panel->is_object()) {
-      sums.units_kept += Count(*panel, "units_kept");
-      sums.units_dropped += Count(*panel, "units_dropped");
-      sums.units_empty += Count(*panel, "units_empty");
-      sums.cells_observed += Count(*panel, "cells_observed");
-      sums.cells_masked += Count(*panel, "cells_masked");
-    }
-  }
-
-  Value lineage_;
-  const Value* runs_ = nullptr;
-};
-
-// ---------------------------------------------------------------------------
-// Audit source (audit.bin; the default when present)
-
-class AuditSource : public Source {
- public:
-  /// Opens and validates audit.bin; nullptr after recording Fail(s).
-  /// A present-but-invalid index is a loud error, never a fallback.
-  static std::unique_ptr<AuditSource> Open(const std::string& path) {
-    auto source = std::unique_ptr<AuditSource>(new AuditSource());
-    if (const auto status = source->reader_.Open(path); !status.ok()) {
-      Fail(path, status.error().message());
-      return nullptr;
-    }
-    if (source->reader_.run_count() == 0) {
-      Fail("audit.runs",
-           "no runs recorded — artifact truncated, or the producing binary "
-           "ran with lineage disabled");
-      return nullptr;
-    }
-    source->path_ = path;
-    return source;
-  }
-
-  std::size_t run_count() const override { return reader_.run_count(); }
-
-  std::string run_label(std::size_t run) const override {
-    return reader_.run(run).label;
-  }
-
-  bool GetWaterfall(std::size_t run, WaterfallData& out) override {
-    const sisyphus::obs::LineageWaterfall& w = reader_.run(run).waterfall;
-    out.attempted = w.probes_attempted;
-    out.failed = w.probes_failed;
-    out.emitted = w.emitted;
-    out.delivered = w.delivered;
-    for (const auto& [reason, count] : w.failure_reasons) {
-      out.failure_reasons.emplace_back(reason, count);
-    }
-    for (std::size_t s = 0; s < kLineageStageCount; ++s) {
-      out.terminal.emplace_back(
-          sisyphus::obs::ToString(static_cast<LineageStage>(s)),
-          w.terminal[s]);
-    }
-    out.has_panel = true;
-    out.units_kept = w.units_kept;
-    out.units_dropped = w.units_dropped;
-    out.units_empty = w.units_empty;
-    out.cells_observed = w.cells_observed;
-    out.cells_masked = w.cells_masked;
-    return true;
-  }
-
-  bool GetUnit(std::size_t run, const std::string& name,
-               UnitData& out) override {
-    const auto result = reader_.FindUnit(run, name);
-    if (!result.ok()) {
-      Fail(path_, result.error().message());
-      return false;
-    }
-    const sisyphus::audit::UnitInfo& info = result.value();
-    if (!info.found) return true;  // found stays false
-    out.found = true;
-    out.dropped = info.dropped;
-    out.missing_fraction = info.missing_fraction;
-    out.observed_cells = info.observed_cells;
-    out.masked_cells = info.masked_cells;
-    out.used_treated = info.used_treated;
-    out.used_donor = info.used_donor;
-    out.has_cells = true;
-    for (const sisyphus::audit::CellInfo& cell : info.cells) {
-      out.cells.push_back({cell.period, cell.count, DigestHex(cell.digest)});
-    }
-    return true;
-  }
-
-  LookupStatus GetEstimate(std::size_t run, const std::string& label,
-                           EstimateData& out) override {
-    if (reader_.run(run).estimate_count == 0) {
-      return LookupStatus::kNoEntries;
-    }
-    const auto result = reader_.FindEstimate(run, label);
-    if (!result.ok()) {
-      Fail(path_, result.error().message());
-      return LookupStatus::kError;
-    }
-    const sisyphus::audit::EstimateInfo& info = result.value();
-    if (!info.found) return LookupStatus::kNotFound;
-    out.treated = info.treated;
-    out.effect = info.effect;
-    out.has_p = !std::isnan(info.p_value);
-    if (out.has_p) out.p_value = info.p_value;
-    out.donor_count = info.donors.size();
-    FillComposition(info.treated_comp, out.treated_comp);
-    FillComposition(info.donor_comp, out.donor_comp);
-    return LookupStatus::kOk;
-  }
-
-  bool GetTerminal(std::size_t run, LineageStage stage,
-                   TerminalData& out) override {
-    const auto result = reader_.Terminal(run, stage);
-    if (!result.ok()) {
-      Fail(path_, result.error().message());
-      return false;
-    }
-    out.count = result.value().count;
-    out.emitted = reader_.run(run).waterfall.emitted;
-    out.intents = result.value().facets.intents;
-    out.faults = result.value().facets.faults;
-    out.vantages = result.value().facets.vantages;
-    return true;
-  }
-
-  bool GetFacet(std::size_t run, const std::string& which,
-                FacetSummary& out) override {
-    // Every record resolves to exactly one terminal stage, so the nine
-    // per-stage facet maps partition the run: summing them answers the
-    // whole-run facet summary from the index, without touching the
-    // columnar arrays (O(facets), not O(records)).
-    out.rows = reader_.run(run).record_rows;
-    for (std::size_t s = 0; s < sisyphus::obs::kLineageStageCount; ++s) {
-      const auto result =
-          reader_.Terminal(run, static_cast<LineageStage>(s));
-      if (!result.ok()) {
-        Fail(path_, result.error().message());
-        return false;
-      }
-      const auto& facets = which == "intents" ? result.value().facets.intents
-                                              : result.value().facets.vantages;
-      for (const auto& [name, count] : facets) out.counts[name] += count;
-    }
-    return true;
-  }
-
-  bool GetTopK(std::size_t run, TopKData& out) override {
-    const auto result = reader_.Ranked(run);
-    if (!result.ok()) {
-      Fail(path_, result.error().message());
-      return false;
-    }
-    for (const sisyphus::audit::UnitRank& unit : result.value().units) {
-      out.units.push_back({unit.name, unit.records, unit.dropped});
-    }
-    for (const sisyphus::audit::VantageRank& v : result.value().vantages) {
-      out.vantages.push_back({std::to_string(v.vantage), v.records, false});
-    }
-    return true;
-  }
-
-  void Check(CheckTotals& sums) override {
-    if (const auto status = reader_.VerifyAll(); !status.ok()) {
-      Fail(path_, status.error().message());
-      return;
-    }
-    for (std::size_t i = 0; i < reader_.run_count(); ++i) {
-      CheckRun(i, sums);
-    }
-  }
-
- private:
-  AuditSource() = default;
-
-  static void FillComposition(const sisyphus::audit::CompositionInfo& info,
-                              CompData& out) {
-    out.records = info.records;
-    out.cells = info.cells;
-    out.digest = DigestHex(info.digest);
-    out.intents = info.facets.intents;
-    out.faults = info.facets.faults;
-    out.vantages = info.facets.vantages;
-  }
-
-  void CheckRun(std::size_t run, CheckTotals& sums) {
-    const sisyphus::audit::RunSummary& summary = reader_.run(run);
-    const sisyphus::obs::LineageWaterfall& w = summary.waterfall;
-    const std::string& where = summary.label;
-
-    std::uint64_t reason_sum = 0;
-    for (const auto& [_, count] : w.failure_reasons) reason_sum += count;
-    if (reason_sum != w.probes_failed) {
-      Fail(where, "failure_reasons do not sum to probes_failed");
-    }
-    if (w.untracked != 0) {
-      Fail(where, std::to_string(w.untracked) +
-                      " record(s) never reached a terminal state");
-    }
-    std::uint64_t terminal_sum = 0;
-    for (std::uint64_t count : w.terminal) terminal_sum += count;
-    if (terminal_sum != w.emitted) {
-      Fail(where, "terminal stages sum to " + std::to_string(terminal_sum) +
-                      ", emitted is " + std::to_string(w.emitted));
-    }
-    if (w.archived_copies + w.quarantined_copies != w.delivered) {
-      Fail(where, "archived + quarantined copies != delivered");
-    }
-    if (summary.record_rows != w.emitted) {
-      Fail(where + ".records",
-           "count " + std::to_string(summary.record_rows) +
-               " != waterfall.emitted " + std::to_string(w.emitted));
-    }
-
-    // Recompute the stage histogram and copy total from the columnar
-    // section, then cross-check the terminal posting lists against it —
-    // the index must agree with the raw columns it claims to summarize.
-    const auto columns = reader_.Records(run);
-    if (!columns.ok()) {
-      Fail(path_, columns.error().message());
-      return;
-    }
-    std::array<std::uint64_t, kLineageStageCount> histogram{};
-    std::uint64_t copy_sum = 0;
-    for (std::uint64_t i = 0; i < columns.value().count; ++i) {
-      const std::uint8_t stage = columns.value().stage[i];
-      if (stage < kLineageStageCount) ++histogram[stage];
-      copy_sum += columns.value().copies[i];
-    }
-    for (std::size_t s = 0; s < kLineageStageCount; ++s) {
-      const char* name =
-          sisyphus::obs::ToString(static_cast<LineageStage>(s));
-      if (w.terminal[s] != histogram[s]) {
-        Fail(where + ".terminal." + name,
-             "rollup says " + std::to_string(w.terminal[s]) +
-                 ", per-record stages say " + std::to_string(histogram[s]));
-      }
-      const auto slice =
-          reader_.Terminal(run, static_cast<LineageStage>(s));
-      if (!slice.ok()) {
-        Fail(path_, slice.error().message());
-      } else if (slice.value().count != histogram[s]) {
-        Fail(where + ".terminal_index." + name,
-             "posting list has " + std::to_string(slice.value().count) +
-                 " id(s), per-record stages say " +
-                 std::to_string(histogram[s]));
-      }
-    }
-    if (copy_sum != w.delivered) {
-      Fail(where + ".records.copies",
-           "sum " + std::to_string(copy_sum) + " != waterfall.delivered " +
-               std::to_string(w.delivered));
-    }
-
-    sums.attempted += w.probes_attempted;
-    sums.failed += w.probes_failed;
-    sums.emitted += w.emitted;
-    sums.archived += w.archived_copies;
-    sums.quarantined += w.quarantined_copies;
-    sums.shed +=
-        w.terminal[static_cast<std::size_t>(LineageStage::kShedOverload)];
-    sums.units_kept += w.units_kept;
-    sums.units_dropped += w.units_dropped;
-    sums.units_empty += w.units_empty;
-    sums.cells_observed += w.cells_observed;
-    sums.cells_masked += w.cells_masked;
-  }
-
-  sisyphus::audit::AuditReader reader_;
-  std::string path_;
-};
-
-// ---------------------------------------------------------------------------
-// Mode dispatch (shared between one-shot CLI and --serve)
 
 void Reconcile(const CheckTotals& sums, const Value& metrics) {
   const Value* counters = metrics.Find("counters");
@@ -992,7 +347,13 @@ void Reconcile(const CheckTotals& sums, const Value& metrics) {
     return;
   }
   const auto expect = [&](const char* counter, std::uint64_t lineage_total) {
-    const std::uint64_t metric = Count(*counters, counter);
+    // An absent counter reads 0: compiled-out builds have nothing to
+    // reconcile.
+    const Value* found = counters->Find(counter);
+    const std::uint64_t metric =
+        found != nullptr && found->is_number()
+            ? static_cast<std::uint64_t>(found->number)
+            : 0;
     if (metric != lineage_total) {
       Fail(std::string("reconcile.") + counter,
            "metrics.json says " + std::to_string(metric) +
@@ -1012,9 +373,17 @@ void Reconcile(const CheckTotals& sums, const Value& metrics) {
   expect("measure.panel.cells_masked", sums.cells_masked);
 }
 
-int RunCheck(Source& source, const std::string& dir) {
+/// --check always audits every run: the metrics counters accumulate
+/// across the whole process, so reconciliation needs the full sum.
+int RunCheck(const AuditReader& audit, const std::string& dir) {
   CheckTotals sums;
-  source.Check(sums);
+  if (const auto status = audit.VerifyAll(); !status.ok()) {
+    Fail(g_audit_path, status.error().message());
+  } else {
+    for (std::size_t i = 0; i < audit.run_count(); ++i) {
+      CheckRun(audit, i, sums);
+    }
+  }
   if (sums.emitted == 0) {
     Fail("check", "zero emitted records across all runs — nothing was "
                   "measured, so the audit is vacuous");
@@ -1031,9 +400,12 @@ int RunCheck(Source& source, const std::string& dir) {
   std::printf("lineageq --check: OK — %llu emitted record(s) across %zu "
               "run(s) all reconcile\n",
               static_cast<unsigned long long>(sums.emitted),
-              source.run_count());
+              audit.run_count());
   return 0;
 }
+
+// ---------------------------------------------------------------------------
+// Mode dispatch (shared between one-shot CLI and --serve)
 
 enum class Mode {
   kWaterfall,
@@ -1055,95 +427,91 @@ struct Query {
 /// Resolves a terminal stage name from the legend; records a Fail and
 /// returns false for unknown names.
 bool ResolveStage(const std::string& name, LineageStage& out) {
-  for (std::size_t s = 0; s < kLineageStageCount; ++s) {
-    const auto stage = static_cast<LineageStage>(s);
-    if (name == sisyphus::obs::ToString(stage)) {
-      out = stage;
-      return true;
-    }
-  }
   std::string known;
   for (std::size_t s = 0; s < kLineageStageCount; ++s) {
+    if (name == StageName(s)) {
+      out = static_cast<LineageStage>(s);
+      return true;
+    }
     if (!known.empty()) known += ", ";
-    known += sisyphus::obs::ToString(static_cast<LineageStage>(s));
+    known += StageName(s);
   }
   Fail("--terminal", "unknown stage '" + name + "' (known: " + known + ")");
   return false;
 }
 
-int RunQuery(Source& source, const Query& query) {
+/// Answers `query` for one run.
+void AnswerRun(const AuditReader& audit, std::size_t run, const Query& query,
+               LineageStage stage) {
+  switch (query.mode) {
+    case Mode::kWaterfall:
+      PrintWaterfall(audit.run(run).waterfall);
+      break;
+    case Mode::kUnit: {
+      const auto unit = audit.FindUnit(run, query.arg);
+      const auto* info = Answer(unit);
+      if (info == nullptr) break;
+      if (!info->found) {
+        Fail("--unit",
+             "'" + query.arg + "' is not in this run's panel ledger");
+      } else {
+        PrintUnit(query.arg, *info);
+      }
+      break;
+    }
+    case Mode::kEstimate: {
+      if (audit.run(run).estimate_count == 0) {
+        Fail("--estimate", "this run recorded no estimates");
+        break;
+      }
+      const auto estimate = audit.FindEstimate(run, query.arg);
+      const auto* info = Answer(estimate);
+      if (info == nullptr) break;
+      if (!info->found) {
+        Fail("--estimate", "'" + query.arg + "' not found in this run");
+      } else {
+        PrintEstimate(query.arg, *info);
+      }
+      break;
+    }
+    case Mode::kTerminal: {
+      const auto slice = audit.Terminal(run, stage);
+      if (const auto* info = Answer(slice)) {
+        std::printf("terminal '%s': ", query.arg.c_str());
+        PrintShare(info->count, audit.run(run).waterfall.emitted);
+        PrintFacets(info->facets);
+      }
+      break;
+    }
+    case Mode::kIntent:
+    case Mode::kVantage:
+      PrintFacetSummary(audit, run, query.mode == Mode::kIntent);
+      break;
+    case Mode::kTopK: {
+      const auto ranked = audit.Ranked(run);
+      if (const auto* info = Answer(ranked)) PrintTopK(*info, query.top_k);
+      break;
+    }
+  }
+}
+
+int RunQuery(const AuditReader& audit, const Query& query) {
   LineageStage stage = LineageStage::kEmitted;
   if (query.mode == Mode::kTerminal && !ResolveStage(query.arg, stage)) {
     return 1;
   }
   bool matched_run = query.run_filter.empty();
-  for (std::size_t i = 0; i < source.run_count(); ++i) {
-    const std::string label = source.run_label(i);
+  for (std::size_t i = 0; i < audit.run_count(); ++i) {
+    const std::string& label = audit.run(i).label;
     if (!query.run_filter.empty() && label != query.run_filter) continue;
     matched_run = true;
     std::printf("== run: %s ==\n", label.c_str());
-    switch (query.mode) {
-      case Mode::kWaterfall: {
-        WaterfallData data;
-        if (source.GetWaterfall(i, data)) PrintWaterfallData(data);
-        break;
-      }
-      case Mode::kUnit: {
-        UnitData data;
-        if (source.GetUnit(i, query.arg, data)) {
-          if (!data.found) {
-            Fail("--unit",
-                 "'" + query.arg + "' is not in this run's panel ledger");
-          } else {
-            PrintUnitData(query.arg, data);
-          }
-        }
-        break;
-      }
-      case Mode::kEstimate: {
-        EstimateData data;
-        switch (source.GetEstimate(i, query.arg, data)) {
-          case LookupStatus::kOk:
-            PrintEstimateData(query.arg, data);
-            break;
-          case LookupStatus::kNoEntries:
-            Fail("--estimate", "this run recorded no estimates");
-            break;
-          case LookupStatus::kNotFound:
-            Fail("--estimate", "'" + query.arg + "' not found in this run");
-            break;
-          case LookupStatus::kError:
-            break;
-        }
-        break;
-      }
-      case Mode::kTerminal: {
-        TerminalData data;
-        if (source.GetTerminal(i, stage, data)) {
-          PrintTerminalData(query.arg, data);
-        }
-        break;
-      }
-      case Mode::kIntent:
-      case Mode::kVantage: {
-        FacetSummary data;
-        const bool intents = query.mode == Mode::kIntent;
-        if (source.GetFacet(i, intents ? "intents" : "vantages", data)) {
-          PrintFacetSummary(intents ? "intents" : "vantages", data);
-        }
-        break;
-      }
-      case Mode::kTopK: {
-        TopKData data;
-        if (source.GetTopK(i, data)) PrintTopK(data, query.top_k);
-        break;
-      }
-    }
+    AnswerRun(audit, i, query, stage);
     std::printf("\n");
   }
   if (!matched_run) {
     std::printf("no run labeled '%s' (have %zu run(s))\n",
-                query.run_filter.c_str(), source.run_count());
+                query.run_filter.c_str(), audit.run_count());
     return 1;
   }
   return g_errors > 0 ? 1 : 0;
@@ -1155,12 +523,12 @@ int RunQuery(Source& source, const Query& query) {
 // go to stderr so piped output can be diffed against one-shot runs).
 // Errors within a command are reported but do not end the session.
 
-int Serve(Source& source, const std::string& dir) {
+int Serve(const AuditReader& audit, const std::string& dir) {
   std::fprintf(stderr,
                "lineageq: serving %zu run(s); commands: waterfall [RUN] | "
                "unit NAME | estimate LABEL | terminal STAGE | intent | "
                "vantage | topk [N] | check | quit\n",
-               source.run_count());
+               audit.run_count());
   std::string line;
   while (std::getline(std::cin, line)) {
     // Tokenize: first word is the command, the rest is the argument.
@@ -1198,18 +566,14 @@ int Serve(Source& source, const std::string& dir) {
       query.mode = Mode::kVantage;
     } else if (command == "topk") {
       query.mode = Mode::kTopK;
-      if (!arg.empty()) {
-        const long k = std::atol(arg.c_str());
-        if (k <= 0) {
-          std::printf("FAIL topk: '%s' is not a positive count\n\n",
-                      arg.c_str());
-          std::fflush(stdout);
-          continue;
-        }
-        query.top_k = static_cast<std::size_t>(k);
+      if (!arg.empty() && !ParseCount(arg, query.top_k)) {
+        std::printf("FAIL topk: '%s' is not a positive count\n\n",
+                    arg.c_str());
+        std::fflush(stdout);
+        continue;
       }
     } else if (command == "check") {
-      (void)RunCheck(source, dir);
+      (void)RunCheck(audit, dir);
       std::printf("\n");
       std::fflush(stdout);
       continue;
@@ -1218,7 +582,7 @@ int Serve(Source& source, const std::string& dir) {
       std::fflush(stdout);
       continue;
     }
-    (void)RunQuery(source, query);
+    (void)RunQuery(audit, query);
     std::fflush(stdout);
   }
   return 0;
@@ -1228,7 +592,7 @@ void PrintUsage() {
   std::printf(
       "usage: lineageq <obs-out-dir> [--run LABEL] [--unit \"ASN / City\"]\n"
       "                [--estimate LABEL] [--terminal STAGE] [--intent]\n"
-      "                [--vantage] [--top-k N] [--check] [--serve] [--json]\n");
+      "                [--vantage] [--top-k N] [--check] [--serve]\n");
 }
 
 }  // namespace
@@ -1242,7 +606,7 @@ int main(int argc, char** argv) {
   Query query;
   std::string unit, estimate, terminal;
   bool intent = false, vantage = false, top_k = false;
-  bool check = false, serve = false, force_json = false;
+  bool check = false, serve = false;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--run") == 0 && i + 1 < argc) {
       query.run_filter = argv[++i];
@@ -1256,52 +620,35 @@ int main(int argc, char** argv) {
       intent = true;
     } else if (std::strcmp(argv[i], "--vantage") == 0) {
       vantage = true;
-    } else if (std::strcmp(argv[i], "--top-k") == 0 && i + 1 < argc) {
-      const long k = std::atol(argv[++i]);
-      if (k <= 0) {
-        PrintUsage();
-        return 1;
-      }
-      query.top_k = static_cast<std::size_t>(k);
+    } else if (std::strcmp(argv[i], "--top-k") == 0 && i + 1 < argc &&
+               ParseCount(argv[i + 1], query.top_k)) {
+      ++i;
       top_k = true;
     } else if (std::strcmp(argv[i], "--check") == 0) {
       check = true;
     } else if (std::strcmp(argv[i], "--serve") == 0) {
       serve = true;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      force_json = true;
     } else {
       PrintUsage();
       return 1;
     }
   }
 
-  // Pick the answer source: the indexed audit.bin when present (and not
-  // overridden), else the monolithic lineage.json. A present-but-broken
-  // audit.bin fails loudly — silently falling back would mask corruption.
-  std::unique_ptr<Source> source;
-  const std::string audit_path =
-      dir + "/" + sisyphus::audit::kAuditFileName;
-  bool audit_present = false;
-  if (!force_json) {
-    if (std::FILE* probe = std::fopen(audit_path.c_str(), "rb")) {
-      std::fclose(probe);
-      audit_present = true;
-    }
+  AuditReader audit;
+  g_audit_path = dir + "/" + sisyphus::audit::kAuditFileName;
+  if (const auto status = audit.Open(g_audit_path); !status.ok()) {
+    Fail(g_audit_path, status.error().message());
+    return 1;
   }
-  if (audit_present) {
-    source = AuditSource::Open(audit_path);
-  } else {
-    source = JsonSource::Load(dir);
+  if (audit.run_count() == 0) {
+    Fail("audit.runs",
+         "no runs recorded — artifact truncated, or the producing binary "
+         "ran with lineage disabled");
+    return 1;
   }
-  if (source == nullptr) return 1;
 
-  if (serve) return Serve(*source, dir);
-  if (check) {
-    // --check always audits every run: the metrics counters accumulate
-    // across the whole process, so reconciliation needs the full sum.
-    return RunCheck(*source, dir);
-  }
+  if (serve) return Serve(audit, dir);
+  if (check) return RunCheck(audit, dir);
   if (!unit.empty()) {
     query.mode = Mode::kUnit;
     query.arg = unit;
@@ -1318,5 +665,5 @@ int main(int argc, char** argv) {
   } else if (top_k) {
     query.mode = Mode::kTopK;
   }
-  return RunQuery(*source, query);
+  return RunQuery(audit, query);
 }

@@ -301,6 +301,16 @@ void CheckLineage(const Value& root) {
           e != nullptr && e->is_number()) {
         emitted = e->number;
       }
+      // The JSON stores probes_attempted beside its parts (audit.bin
+      // derives it), so only here can it drift from emitted + failed.
+      const Value* attempted = waterfall->Find("probes_attempted");
+      const Value* failed = waterfall->Find("probes_failed");
+      if (attempted != nullptr && attempted->is_number() &&
+          failed != nullptr && failed->is_number() &&
+          attempted->number != emitted + failed->number) {
+        Fail(run_where + ".waterfall.probes_attempted",
+             "!= emitted + probes_failed");
+      }
       // Terminal stages must cover the legend and partition the emitted
       // records: every record ends in exactly one stage.
       if (const Value* terminal = Require(*waterfall, run_where + ".waterfall",

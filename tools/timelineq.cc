@@ -19,9 +19,12 @@
 // error, and --follow simply retries on the next poll (the durable
 // service replaces the file atomically, so a reader never sees a partial
 // write).
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -207,6 +210,16 @@ int Follow(const std::string& path, std::uint64_t until_step) {
   }
 }
 
+/// Parses a decimal step number; false on a sign, trailing junk or
+/// overflow.
+bool ParseStep(const char* text, std::uint64_t& out) {
+  if (!std::isdigit(static_cast<unsigned char>(text[0]))) return false;
+  errno = 0;
+  char* end = nullptr;
+  out = std::strtoull(text, &end, 10);
+  return errno == 0 && *end == '\0';
+}
+
 int Usage() {
   std::printf(
       "usage: timelineq <timeline.bin | dir> "
@@ -233,11 +246,13 @@ int main(int argc, char** argv) {
       if (arg == "--series" && i + 1 < argc && argv[i + 1][0] != '-') {
         series_name = argv[++i];
       }
-    } else if (arg == "--at" && i + 1 < argc) {
+    } else if (arg == "--at" && i + 1 < argc &&
+               ParseStep(argv[i + 1], at_step)) {
       mode = arg;
-      at_step = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--until-step" && i + 1 < argc) {
-      until_step = std::strtoull(argv[++i], nullptr, 10);
+      ++i;
+    } else if (arg == "--until-step" && i + 1 < argc &&
+               ParseStep(argv[i + 1], until_step)) {
+      ++i;
     } else {
       return Usage();
     }
