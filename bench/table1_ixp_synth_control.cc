@@ -16,6 +16,9 @@
 // high p-values; a couple of units marginal (p < 0.10); the largest drop
 // NOT significant. Pass --ablation to also run the classical
 // simplex-weight estimator for comparison (DESIGN.md §4).
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -51,6 +54,41 @@ struct DurableArgs {
   bool pipeline = false;
   std::string chaos_spec;
 };
+
+/// Parses `flag`'s value as a strict non-negative integer: digits only —
+/// no sign, suffix or overflow, all of which std::atoll would silently
+/// accept. Prints why and returns false otherwise.
+bool ParseCountFlag(const char* flag, const char* text, std::uint64_t& out) {
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value =
+      std::isdigit(static_cast<unsigned char>(text[0]))
+          ? std::strtoull(text, &end, 10)
+          : 0;
+  if (end == nullptr || errno != 0 || *end != '\0') {
+    std::fprintf(stderr, "%s must be a non-negative integer, got '%s'\n",
+                 flag, text);
+    return false;
+  }
+  out = value;
+  return true;
+}
+
+/// Parses --scale strictly: a positive finite number with no trailing
+/// characters. Prints why and returns false otherwise.
+bool ParseScaleFlag(const char* text, double& out) {
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno != 0 || !std::isfinite(value) ||
+      !(value > 0.0)) {
+    std::fprintf(stderr, "--scale must be a positive number, got '%s'\n",
+                 text);
+    return false;
+  }
+  out = value;
+  return true;
+}
 
 struct Row {
   std::string unit;
@@ -435,11 +473,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--streaming") == 0) {
       streaming = true;
     } else if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
-      scale = std::atof(argv[++i]);
-      if (!(scale > 0.0)) {
-        std::fprintf(stderr, "--scale must be a positive number\n");
-        return 2;
-      }
+      if (!ParseScaleFlag(argv[++i], scale)) return 2;
     } else if (std::strcmp(argv[i], "--export-dir") == 0 && i + 1 < argc) {
       export_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--obs-out") == 0 && i + 1 < argc) {
@@ -449,14 +483,14 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--resume") == 0) {
       durable_args.resume = true;
     } else if (std::strcmp(argv[i], "--snapshot-every") == 0 && i + 1 < argc) {
-      durable_args.snapshot_every =
-          static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      const char* flag = argv[i++];
+      if (!ParseCountFlag(flag, argv[i], durable_args.snapshot_every)) return 2;
     } else if (std::strcmp(argv[i], "--fsync-every") == 0 && i + 1 < argc) {
-      durable_args.fsync_every =
-          static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      const char* flag = argv[i++];
+      if (!ParseCountFlag(flag, argv[i], durable_args.fsync_every)) return 2;
     } else if (std::strcmp(argv[i], "--shed-max") == 0 && i + 1 < argc) {
-      durable_args.shed_max =
-          static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      const char* flag = argv[i++];
+      if (!ParseCountFlag(flag, argv[i], durable_args.shed_max)) return 2;
     } else if (std::strcmp(argv[i], "--pipeline") == 0) {
       durable_args.pipeline = true;
     } else if (std::strcmp(argv[i], "--chaos") == 0 && i + 1 < argc) {

@@ -4,7 +4,7 @@
 // The file is a pure function of the final lineage ledger, so every
 // determinism guarantee the ledger already carries (byte-identical at any
 // SISYPHUS_THREADS via TaskObserver capture/replay, byte-identical across
-// a durable kill/resume via Lineage::Save/Load in the snapshot payload)
+// a durable kill/resume, which rebuilds it by re-ingesting the journal)
 // transfers to audit.bin with no extra machinery.
 //
 // The file is a core/sectioned_file container (layout: DESIGN.md §12);

@@ -4,9 +4,9 @@
 // The artifact is a pure function of the ledger contents: no wall-clock,
 // no iteration-order dependence (unit and probe-failure maps are already
 // sorted; estimate directories are sorted stably by label at write time).
-// Because the durable layer snapshots and restores the ledger itself
-// (Lineage::Save/Load inside the snapshot payload), a killed-and-resumed
-// run rebuilds the exact ledger and therefore the exact audit.bin.
+// Because a durable resume rebuilds the ledger by re-ingesting the
+// journaled steps through the live commit path, a killed-and-resumed run
+// rebuilds the exact ledger and therefore the exact audit.bin.
 #pragma once
 
 #include <string>

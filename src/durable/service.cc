@@ -1,5 +1,6 @@
 #include "durable/service.h"
 
+#include <algorithm>
 #include <condition_variable>
 #include <csignal>
 #include <cstdio>
@@ -110,6 +111,46 @@ core::Result<ChaosOptions> ParseChaosSpec(std::string_view spec) {
 // ---------------------------------------------------------------------------
 // Step / snapshot serialization
 
+namespace {
+
+// Encoded sizes of the fixed fields, for bounding untrusted counts.
+constexpr std::uint64_t kMinRecordBytes = 67;  // empty city string
+constexpr std::uint64_t kFailureBytes = 18;
+constexpr std::uint8_t kMaxIntent =
+    static_cast<std::uint8_t>(measure::Intent::kEventTriggered);
+constexpr std::uint8_t kMaxProbeFault =
+    static_cast<std::uint8_t>(measure::ProbeFault::kUnreachable);
+constexpr std::uint8_t kFaultMaskBits =
+    (1u << obs::kLineageFaultNames.size()) - 1;
+
+void PutFailure(binio::Writer& w, const measure::ProbeFailure& f) {
+  w.PutI64(f.time.minutes());
+  w.PutU32(f.vantage);
+  w.PutU8(static_cast<std::uint8_t>(f.intent));
+  w.PutU8(static_cast<std::uint8_t>(f.reason));
+  w.PutU32(f.attempts);
+}
+
+/// False when a field is out of range (the reader's own ok() flags
+/// truncation).
+bool GetFailure(binio::Reader& r, measure::ProbeFailure* f) {
+  f->time = core::SimTime(r.GetI64());
+  f->vantage = r.GetU32();
+  const std::uint8_t intent = r.GetU8();
+  const std::uint8_t reason = r.GetU8();
+  f->attempts = r.GetU32();
+  if (intent > kMaxIntent || reason > kMaxProbeFault) return false;
+  f->intent = static_cast<measure::Intent>(intent);
+  f->reason = static_cast<measure::ProbeFault>(reason);
+  return true;
+}
+
+core::Error FrameError(const char* what) {
+  return core::Error(core::ErrorCode::kParseError, what);
+}
+
+}  // namespace
+
 std::string EncodeStep(const measure::StepOutput& step,
                        std::uint64_t next_record_id_after) {
   binio::Writer w;
@@ -133,51 +174,73 @@ std::string EncodeStep(const measure::StepOutput& step,
     w.PutU8(pending.fault_mask);
   }
   w.PutU64(step.failures.size());
-  for (const measure::ProbeFailure& f : step.failures) {
-    w.PutI64(f.time.minutes());
-    w.PutU32(f.vantage);
-    w.PutU8(static_cast<std::uint8_t>(f.intent));
-    w.PutU8(static_cast<std::uint8_t>(f.reason));
-    w.PutU32(f.attempts);
-  }
+  for (const measure::ProbeFailure& f : step.failures) PutFailure(w, f);
   return std::move(w).Take();
+}
+
+core::Result<DecodedStep> DecodeStep(std::string_view payload) {
+  binio::Reader r(payload);
+  DecodedStep decoded;
+  measure::StepOutput& step = decoded.step;
+  step.step_end = core::SimTime(r.GetI64());
+  decoded.next_record_id_after = r.GetU64();
+  const std::uint64_t record_count = r.GetU64();
+  if (!r.ok() || record_count > r.remaining() / kMinRecordBytes) {
+    return FrameError("record count beyond the payload");
+  }
+  // Ids are 1-based and run consecutively up to the watermark.
+  if (decoded.next_record_id_after <= record_count) {
+    return FrameError("record-id watermark below the record count");
+  }
+  const std::uint64_t first_id = decoded.next_record_id_after - record_count;
+  step.records.resize(static_cast<std::size_t>(record_count));
+  for (std::uint64_t i = 0; i < record_count; ++i) {
+    measure::PendingRecord& pending = step.records[i];
+    measure::SpeedTestRecord& rec = pending.record;
+    const std::uint64_t id = r.GetU64();
+    rec.id = core::MeasurementId(id);
+    rec.time = core::SimTime(r.GetI64());
+    rec.asn = core::Asn(r.GetU32());
+    rec.city = r.GetString();
+    rec.vantage_pop = r.GetU32();
+    rec.server_pop = r.GetU32();
+    rec.rtt_ms = r.GetDouble();
+    rec.loss_rate = r.GetDouble();
+    rec.throughput_mbps = r.GetDouble();
+    const std::uint8_t intent = r.GetU8();
+    rec.attempts = r.GetU32();
+    const std::uint8_t duplicate = r.GetU8();
+    pending.fault_mask = r.GetU8();
+    if (!r.ok()) return FrameError("truncated record");
+    if (id != first_id + i) return FrameError("non-consecutive record ids");
+    if (intent > kMaxIntent) return FrameError("intent out of range");
+    if (duplicate > 1) return FrameError("duplicate flag out of range");
+    if ((pending.fault_mask & ~kFaultMaskBits) != 0) {
+      return FrameError("fault mask out of range");
+    }
+    rec.intent = static_cast<measure::Intent>(intent);
+    pending.duplicate = duplicate != 0;
+  }
+  const std::uint64_t failure_count = r.GetU64();
+  if (!r.ok() || failure_count > r.remaining() / kFailureBytes) {
+    return FrameError("failure count beyond the payload");
+  }
+  step.failures.resize(static_cast<std::size_t>(failure_count));
+  for (measure::ProbeFailure& failure : step.failures) {
+    if (!GetFailure(r, &failure)) {
+      return FrameError("failure intent or reason out of range");
+    }
+  }
+  if (!r.ok()) return FrameError("truncated failure");
+  if (r.remaining() != 0) return FrameError("trailing bytes");
+  return decoded;
 }
 
 namespace {
 
-void EncodeFailures(binio::Writer& w,
-                    const std::vector<measure::ProbeFailure>& failures) {
-  w.PutU64(failures.size());
-  for (const measure::ProbeFailure& f : failures) {
-    w.PutI64(f.time.minutes());
-    w.PutU32(f.vantage);
-    w.PutU8(static_cast<std::uint8_t>(f.intent));
-    w.PutU8(static_cast<std::uint8_t>(f.reason));
-    w.PutU32(f.attempts);
-  }
-}
-
-bool DecodeFailures(binio::Reader& r,
-                    std::vector<measure::ProbeFailure>* failures) {
-  const std::uint64_t count = r.GetU64();
-  if (!r.ok() || count > r.remaining() / 18) return false;
-  failures->clear();
-  failures->reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    measure::ProbeFailure f;
-    f.time = core::SimTime(r.GetI64());
-    f.vantage = r.GetU32();
-    f.intent = static_cast<measure::Intent>(r.GetU8());
-    f.reason = static_cast<measure::ProbeFault>(r.GetU8());
-    f.attempts = r.GetU32();
-    failures->push_back(f);
-  }
-  return r.ok();
-}
-
 std::string EncodeSnapshotPayload(std::uint64_t seq, const core::Rng& rng,
                                   const measure::Platform& platform,
-                                  const measure::StreamingCampaign& campaign) {
+                                  std::uint64_t max_step_records) {
   binio::Writer w;
   w.PutU64(seq);
   const core::Rng::State rng_state = rng.SaveState();
@@ -188,21 +251,19 @@ std::string EncodeSnapshotPayload(std::uint64_t seq, const core::Rng& rng,
   w.PutU64(stream.next_record_id);
   w.PutU64(stream.route_change_cursor);
   binio::PutDoubleVector(w, stream.ewma_rtt);
-  EncodeFailures(w, stream.failures);
+  w.PutU64(max_step_records);
   obs::Registry::Global().Save(w);
-  obs::Lineage::Global().Save(w);
-  campaign.Save(w);
   obs::Timeline::Global().Save(w);
   return std::move(w).Take();
 }
 
-/// The part of a snapshot that must be parsed BEFORE the fast-forward
-/// (seq, RNG, platform state); `tail` holds the registry/lineage/campaign
-/// bytes applied after it.
+/// The fixed-size head of a snapshot (seq, RNG, platform state, shed
+/// cap); `tail` holds the registry and timeline bytes.
 struct SnapshotHead {
   std::uint64_t seq = 0;
   core::Rng::State rng;
   measure::Platform::StreamState stream;
+  std::uint64_t max_step_records = 0;
   std::string tail;
 };
 
@@ -215,10 +276,49 @@ bool DecodeSnapshotHead(const std::string& payload, SnapshotHead* head) {
   head->stream.next_record_id = r.GetU64();
   head->stream.route_change_cursor = r.GetU64();
   head->stream.ewma_rtt = binio::GetDoubleVector(r);
-  if (!DecodeFailures(r, &head->stream.failures)) return false;
+  head->max_step_records = r.GetU64();
   if (!r.ok()) return false;
   head->tail = payload.substr(payload.size() - r.remaining());
   return true;
+}
+
+/// Shed-on-overload: keeps the first `cap` records in merge order (0 =
+/// unbounded). Dropped records terminate in lineage as shed_overload
+/// with zero delivered copies. Returns the number shed.
+std::uint64_t ShedOverload(measure::StepOutput& step, std::uint64_t cap) {
+  if (cap == 0 || step.records.size() <= cap) return 0;
+  const std::uint64_t shed = step.records.size() - cap;
+  if (obs::Lineage::enabled()) {
+    for (std::size_t i = cap; i < step.records.size(); ++i) {
+      const measure::PendingRecord& pending = step.records[i];
+      obs::LineageRecordInfo info;
+      info.id = pending.record.id.value();
+      info.vantage = pending.record.vantage_pop;
+      info.intent = static_cast<std::uint8_t>(pending.record.intent);
+      info.attempts = static_cast<std::uint8_t>(
+          std::min<std::uint32_t>(pending.record.attempts, 255));
+      info.fault_mask = pending.fault_mask;
+      info.copies = pending.duplicate ? 2 : 1;
+      obs::Lineage::Global().RecordShed(info);
+    }
+  }
+  SISYPHUS_METRIC_COUNT("measure.stream.shed_overload", shed);
+  step.records.resize(cap);
+  return shed;
+}
+
+/// Commits a shed step: the batch into the campaign (serially on the
+/// pipelined consumer thread, which must not open pool regions), then
+/// the probe failures onto the platform.
+void IngestStep(const measure::StepOutput& step,
+                measure::StreamingCampaign& campaign,
+                measure::Platform& platform, bool serial) {
+  if (serial) {
+    campaign.IngestBatchSerial(step.records);
+  } else {
+    campaign.IngestBatch(step.records);
+  }
+  platform.CommitFailures(step.failures);
 }
 
 // ---------------------------------------------------------------------------
@@ -348,23 +448,21 @@ bool FlipByte(const std::string& path, std::size_t offset) {
   return ok;
 }
 
-/// Restores the obs enable flags fast-forward turned off, even if the
-/// forward throws.
+/// Pauses the registry and timeline for the resume's fast-forward and
+/// journal re-ingest (both come from the snapshot), restoring their
+/// flags on every exit path. Lineage stays live: the re-ingest rebuilds
+/// the ledger.
 struct TelemetryPause {
   bool registry_enabled;
-  bool lineage_enabled;
   bool timeline_enabled;
   TelemetryPause()
       : registry_enabled(obs::Registry::enabled()),
-        lineage_enabled(obs::Lineage::enabled()),
         timeline_enabled(obs::Timeline::enabled()) {
     obs::Registry::Enable(false);
-    obs::Lineage::Enable(false);
     obs::Timeline::Enable(false);
   }
   ~TelemetryPause() {
     obs::Registry::Enable(registry_enabled);
-    obs::Lineage::Enable(lineage_enabled);
     obs::Timeline::Enable(timeline_enabled);
   }
 };
@@ -476,22 +574,65 @@ core::Result<RunStats> DurableStreamingService::RunInternal(core::SimTime until,
   }
   stats.journal_high_water = high_water;
 
-  // -- fast-forward + state restore ---------------------------------------
+  // -- state restore, fast-forward, journal re-ingest ---------------------
   if (restored) {
-    {
-      // Re-executing the skipped steps' clock/route-cache effects must not
-      // re-count telemetry: the restored registry/lineage state already
-      // contains those steps.
-      TelemetryPause pause;
-      for (std::uint64_t i = 0; i < start_seq; ++i) platform_.SkipStep(until);
+    if (head.max_step_records != options_.max_step_records) {
+      return core::Error(core::ErrorCode::kInvalidArgument,
+                         "durable resume: snapshot was taken with "
+                         "max_step_records " +
+                             std::to_string(head.max_step_records) +
+                             ", this run uses " +
+                             std::to_string(options_.max_step_records));
     }
     binio::Reader tail(head.tail);
     if (!obs::Registry::Global().Load(tail) ||
-        !obs::Lineage::Global().Load(tail) || !campaign_.Load(tail) ||
         !obs::Timeline::Global().Load(tail) || tail.remaining() != 0) {
       return core::Error(core::ErrorCode::kParseError,
                          "durable resume: snapshot state failed to load "
                          "(checksum passed but decoding diverged)");
+    }
+    {
+      // The restored registry and timeline already cover steps 1..k, so
+      // neither the skipped steps' clock/route-cache effects nor the
+      // re-ingest may count again.
+      TelemetryPause pause;
+      std::uint64_t next_record_id = 1;
+      for (std::uint64_t frame_seq = 1; frame_seq <= start_seq; ++frame_seq) {
+        platform_.SkipStep(until);
+        auto decoded = DecodeStep(scan.frames[frame_seq - 1].payload);
+        std::string problem;
+        if (!decoded.ok()) {
+          problem = decoded.error().message();
+        } else if (decoded.value().next_record_id_after -
+                       decoded.value().step.records.size() !=
+                   next_record_id) {
+          problem = "record ids do not continue the previous frame's";
+        } else if (decoded.value().step.step_end != platform_.Now()) {
+          problem = "step end differs from the fast-forwarded clock";
+        }
+        if (!problem.empty()) {
+          return core::Error(core::ErrorCode::kParseError,
+                             "durable resume: journal frame " +
+                                 std::to_string(frame_seq) +
+                                 " below snapshot " +
+                                 std::to_string(start_seq) + ": " + problem);
+        }
+        // From here on the store holds the frame's records: drop its bytes.
+        std::string().swap(scan.frames[frame_seq - 1].payload);
+        measure::StepOutput& step = decoded.value().step;
+        next_record_id = decoded.value().next_record_id_after;
+        ShedOverload(step, options_.max_step_records);
+        IngestStep(step, campaign_, platform_, /*serial=*/false);
+      }
+      if (next_record_id != head.stream.next_record_id) {
+        return core::Error(core::ErrorCode::kParseError,
+                           "durable resume: journal frames 1.." +
+                               std::to_string(start_seq) +
+                               " end at record id " +
+                               std::to_string(next_record_id) +
+                               ", snapshot says " +
+                               std::to_string(head.stream.next_record_id));
+      }
     }
     platform_.RestoreStreamState(head.stream);
     rng.RestoreState(head.rng);
@@ -534,8 +675,7 @@ core::Result<RunStats> DurableStreamingService::RunInternal(core::SimTime until,
       while (queue.Pop(&item)) {
         try {
           if (options_.ingest_fault) options_.ingest_fault(item.seq);
-          campaign_.IngestBatchSerial(item.step.records);
-          platform_.CommitFailures(item.step.failures);
+          IngestStep(item.step, campaign_, platform_, /*serial=*/true);
           // Ingest-phase timeline sample, before ItemDone so quiesce
           // points (snapshots, chaos kills) never see a half-sampled step.
           measure::SampleTimelineIngest(item.seq, campaign_);
@@ -555,8 +695,8 @@ core::Result<RunStats> DurableStreamingService::RunInternal(core::SimTime until,
   const auto write_snapshot = [&](std::uint64_t seq) -> core::Result<bool> {
     quiesce();
     journal.Flush();
-    const std::string payload =
-        EncodeSnapshotPayload(seq, rng, platform_, campaign_);
+    const std::string payload = EncodeSnapshotPayload(
+        seq, rng, platform_, options_.max_step_records);
     std::string error;
     if (!WriteSnapshotFile(SnapshotPath(options_.dir, seq), payload,
                            &error)) {
@@ -576,7 +716,7 @@ core::Result<RunStats> DurableStreamingService::RunInternal(core::SimTime until,
   std::uint64_t seq = start_seq;
   // Committed-record total for the heartbeat gauges. Tracked locally
   // (campaign_.ingested() lags the producer in pipelined mode); seeded
-  // from the restored snapshot so a resumed run's gauge stream continues
+  // from the journal re-ingest so a resumed run's gauge stream continues
   // exactly where the killed run's left off.
   std::uint64_t committed_records = campaign_.ingested();
   std::uint64_t next_record_id_after = restored ? head.stream.next_record_id : 1;
@@ -616,33 +756,9 @@ core::Result<RunStats> DurableStreamingService::RunInternal(core::SimTime until,
         stats.journal_high_water = seq;
       }
 
-      // Shed-on-overload: deterministic per-step cap, applied AFTER the
-      // journal append (the journal witnesses the pre-shed batch) and
-      // BEFORE ingest. Dropped records terminate in lineage as
-      // shed_overload with zero delivered copies.
-      if (options_.max_step_records > 0 &&
-          step.records.size() > options_.max_step_records) {
-        const std::uint64_t shed =
-            step.records.size() - options_.max_step_records;
-        if (obs::Lineage::enabled()) {
-          for (std::size_t i = options_.max_step_records;
-               i < step.records.size(); ++i) {
-            const measure::PendingRecord& pending = step.records[i];
-            obs::LineageRecordInfo info;
-            info.id = pending.record.id.value();
-            info.vantage = pending.record.vantage_pop;
-            info.intent = static_cast<std::uint8_t>(pending.record.intent);
-            info.attempts = static_cast<std::uint8_t>(
-                std::min<std::uint32_t>(pending.record.attempts, 255));
-            info.fault_mask = pending.fault_mask;
-            info.copies = pending.duplicate ? 2 : 1;
-            obs::Lineage::Global().RecordShed(info);
-          }
-        }
-        SISYPHUS_METRIC_COUNT("measure.stream.shed_overload", shed);
-        step.records.resize(options_.max_step_records);
-        stats.shed_records += shed;
-      }
+      // Shed AFTER the journal append (the journal witnesses the pre-shed
+      // batch) and BEFORE ingest.
+      stats.shed_records += ShedOverload(step, options_.max_step_records);
 
       const std::uint64_t step_records = step.records.size();
       if (options_.pipelined) {
@@ -653,8 +769,7 @@ core::Result<RunStats> DurableStreamingService::RunInternal(core::SimTime until,
       } else {
         try {
           if (options_.ingest_fault) options_.ingest_fault(seq);
-          campaign_.IngestBatch(step.records);
-          platform_.CommitFailures(step.failures);
+          IngestStep(step, campaign_, platform_, /*serial=*/false);
         } catch (const IngestFailedError&) {
           throw;
         } catch (const std::exception& e) {

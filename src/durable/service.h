@@ -12,20 +12,23 @@
 //      copies (conservation stays exact);
 //   4. ingest — StreamingCampaign::IngestBatch (or, pipelined, a bounded
 //      queue feeding a consumer thread running the serial ingest path);
-//   5. snapshot — every `snapshot_every` steps, the full mutable state
-//      (RNG, platform stream state, metrics registry, lineage ledger,
-//      store arenas, panel aggregates) is written atomically.
+//   5. snapshot — every `snapshot_every` steps, the state whose size does
+//      not grow with the record count (seq, RNG, record-id watermark,
+//      route-change cursor, per-vantage EWMAs, the shed cap, metrics
+//      registry, timeline) is written atomically.
 //
-// Recovery = snapshot restore + deterministic VERIFIED RE-EXECUTION: the
-// journal is an integrity witness, not the source of truth. Resume loads
-// the newest valid snapshot (seq k), fast-forwards the simulator k steps
-// with telemetry disabled, restores the saved state, then re-enters the
-// normal step loop. Steps whose seq is covered by the journal are
-// re-generated live and their serialized form compared byte-for-byte
-// against the journaled frame — any divergence fails the resume loudly.
-// Because every artifact byte is a pure function of the restored state,
-// a killed-and-resumed run produces panel.csv/metrics.json/lineage.json
-// byte-identical to an uninterrupted one, at any SISYPHUS_THREADS.
+// The journal is the store's log. Resume loads the newest valid snapshot
+// (seq k), fast-forwards the simulator k steps, and rebuilds the store
+// arenas, panel aggregates, probe failures and lineage ledger by decoding
+// journal frames 1..k and committing each through the same shed + ingest
+// path the live loop uses, with the registry and timeline paused (they
+// come from the snapshot). Frames above k are only an integrity witness:
+// those steps are re-generated live and their serialized form compared
+// byte-for-byte against the journaled frame — any divergence fails the
+// resume loudly. Because every artifact byte is a pure function of the
+// committed step stream, a killed-and-resumed run produces
+// panel.csv/metrics.json/lineage.json byte-identical to an uninterrupted
+// one, at any SISYPHUS_THREADS.
 #pragma once
 
 #include <cstdint>
@@ -126,6 +129,19 @@ void ClearInterruptFlag();  ///< tests
 std::string EncodeStep(const measure::StepOutput& step,
                        std::uint64_t next_record_id_after);
 
+/// One journal frame's payload, decoded.
+struct DecodedStep {
+  measure::StepOutput step;
+  std::uint64_t next_record_id_after = 1;
+};
+
+/// The inverse of EncodeStep. The payload is untrusted (a forger can
+/// recompute the frame checksum), so this returns an error — never
+/// crashes — on truncation, trailing bytes, counts beyond the payload,
+/// Intent/ProbeFault/fault-mask values out of range, and record ids that
+/// do not run consecutively up to `next_record_id_after`.
+core::Result<DecodedStep> DecodeStep(std::string_view payload);
+
 class DurableStreamingService {
  public:
   /// The platform and campaign must outlive the service. The campaign
@@ -140,12 +156,16 @@ class DurableStreamingService {
   /// Clears stale journal/snapshot state in the directory first.
   core::Result<RunStats> Run(core::SimTime until, core::Rng& rng);
 
-  /// Crash-tolerant resume: newest valid snapshot + verified
-  /// re-execution of the journal tail, then normal operation to `until`.
-  /// Corrupt snapshots fall back to the previous one (loud failure when
-  /// none is valid but some exist); journal corruption before the tail
-  /// fails loudly. With no snapshot and no journal this degrades to a
-  /// cold Run without clearing the directory.
+  /// Crash-tolerant resume: newest valid snapshot (seq k), journal
+  /// frames 1..k re-ingested to rebuild the store, panel, failures and
+  /// lineage, verified re-execution of the journal tail, then normal
+  /// operation to `until`. Corrupt snapshots fall back to the previous
+  /// one (loud failure when none is valid but some exist). Fails loudly,
+  /// without resuming, on journal corruption before the tail, on a frame
+  /// below k that does not decode, and when the journal disagrees with
+  /// the snapshot (record-id watermark, step clock) or the snapshot's
+  /// max_step_records differs from this run's. With no snapshot and no
+  /// journal this degrades to a cold Run without clearing the directory.
   core::Result<RunStats> Resume(core::SimTime until, core::Rng& rng);
 
  private:

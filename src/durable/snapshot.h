@@ -22,7 +22,9 @@
 
 namespace sisyphus::durable {
 
-inline constexpr std::uint64_t kSnapshotMagic = 0x50414e5359534953ull;  // "SISYSNAP"
+// "SISYSNP2": fixed-size state only (the journal rebuilds the rest). An
+// older directory's "SISYSNAP" snapshots fail as bad magic.
+inline constexpr std::uint64_t kSnapshotMagic = 0x32504e5359534953ull;
 
 /// `<dir>/snap-00000000000000000042.bin`.
 std::string SnapshotPath(const std::string& dir, std::uint64_t seq);

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "core/binio.h"
 #include "core/error.h"
 #include "core/hash.h"
 #include "core/logging.h"
@@ -109,70 +108,6 @@ void IncrementalPanelBuilder::VisitRunningMeans(
     visit(unit, cells->running_count,
           cells->running_sum + cells->running_comp);
   }
-}
-
-void IncrementalPanelBuilder::Save(core::binio::Writer& w) const {
-  w.PutU64(shards_.size());
-  w.PutU64(options_.periods);
-  w.PutBool(lineage_);
-  for (const Shard& shard : shards_) {
-    w.PutU64(shard.units.size());
-    for (const auto& [unit, cells] : shard.units) {
-      w.PutString(unit);
-      // Only non-empty cells are written; period indices key them back.
-      std::uint64_t non_empty = 0;
-      for (const CellAccumulator& cell : cells.cells) {
-        if (!cell.values.empty()) ++non_empty;
-      }
-      w.PutU64(non_empty);
-      for (std::size_t t = 0; t < cells.cells.size(); ++t) {
-        const CellAccumulator& cell = cells.cells[t];
-        if (cell.values.empty()) continue;
-        w.PutU64(t);
-        core::binio::PutDoubleVector(w, cell.values);
-        core::binio::PutU64Vector(w, cell.ids);
-      }
-      w.PutU64(cells.running_count);
-      w.PutDouble(cells.running_sum);
-      w.PutDouble(cells.running_comp);
-    }
-    w.PutU64(shard.observed);
-  }
-}
-
-bool IncrementalPanelBuilder::Load(core::binio::Reader& r) {
-  const std::uint64_t shard_count = r.GetU64();
-  const std::uint64_t periods = r.GetU64();
-  const bool lineage = r.GetBool();
-  if (!r.ok() || shard_count != shards_.size() ||
-      periods != options_.periods || lineage != lineage_) {
-    return false;
-  }
-  std::vector<Shard> loaded(shards_.size());
-  for (Shard& shard : loaded) {
-    const std::uint64_t unit_count = r.GetU64();
-    for (std::uint64_t u = 0; u < unit_count && r.ok(); ++u) {
-      const std::string unit = r.GetString();
-      UnitCells cells;
-      cells.cells.resize(options_.periods);
-      const std::uint64_t non_empty = r.GetU64();
-      for (std::uint64_t c = 0; c < non_empty && r.ok(); ++c) {
-        const std::uint64_t t = r.GetU64();
-        if (!r.ok() || t >= options_.periods) return false;
-        CellAccumulator& cell = cells.cells[static_cast<std::size_t>(t)];
-        cell.values = core::binio::GetDoubleVector(r);
-        cell.ids = core::binio::GetU64Vector(r);
-      }
-      cells.running_count = r.GetU64();
-      cells.running_sum = r.GetDouble();
-      cells.running_comp = r.GetDouble();
-      shard.units.emplace(unit, std::move(cells));
-    }
-    shard.observed = r.GetU64();
-    if (!r.ok()) return false;
-  }
-  shards_ = std::move(loaded);
-  return true;
 }
 
 Panel IncrementalPanelBuilder::Finalize() const {

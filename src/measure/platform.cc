@@ -8,7 +8,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "core/binio.h"
 #include "core/error.h"
 #include "core/logging.h"
 #include "core/parallel.h"
@@ -381,7 +380,6 @@ Platform::StreamState Platform::CaptureStreamState() const {
   for (const VantageState& vantage : vantages_) {
     state.ewma_rtt.push_back(vantage.ewma_rtt);
   }
-  state.failures = failures_;
   return state;
 }
 
@@ -392,7 +390,6 @@ void Platform::RestoreStreamState(const StreamState& state) {
        i < vantages_.size() && i < state.ewma_rtt.size(); ++i) {
     vantages_[i].ewma_rtt = state.ewma_rtt[i];
   }
-  failures_ = state.failures;
 }
 
 void EmitStreamHeartbeat(std::uint64_t committed_steps,
@@ -617,21 +614,6 @@ void StreamingCampaign::IngestShard(std::size_t shard,
                      pending.record.id.value());
     }
   }
-}
-
-void StreamingCampaign::Save(core::binio::Writer& w) const {
-  store_.Save(w);
-  panel_.Save(w);
-  w.PutU64(batches_);
-  w.PutU64(ingested_);
-}
-
-bool StreamingCampaign::Load(core::binio::Reader& r) {
-  if (!store_.Load(r)) return false;
-  if (!panel_.Load(r)) return false;
-  batches_ = r.GetU64();
-  ingested_ = r.GetU64();
-  return r.ok();
 }
 
 void Platform::LogCampaignSummary() const {

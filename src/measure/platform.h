@@ -130,11 +130,6 @@ class StreamingCampaign {
   /// artifacts stay byte-identical either way.
   void IngestBatchSerial(const std::vector<PendingRecord>& batch);
 
-  /// Serializes / restores the full campaign state (store arenas, panel
-  /// aggregates, batch counters) for a durable snapshot (DESIGN.md §11).
-  void Save(core::binio::Writer& w) const;
-  bool Load(core::binio::Reader& r);
-
   /// Assembles the panel from the running cell aggregates (serial; call
   /// after the campaign ends).
   Panel FinalizePanel() const { return panel_.Finalize(); }
@@ -240,18 +235,19 @@ class Platform {
   /// consuming RNG draws, or touching EWMAs: advances the simulator,
   /// swallows the step's route changes, and touches every
   /// (vantage, server) route so the BGP route cache is as warm as a live
-  /// step would leave it. Recovery replays k snapshot-covered steps with
-  /// this before restoring state (DESIGN.md §11).
+  /// step would leave it. Recovery fast-forwards k snapshot-covered steps
+  /// with this before re-ingesting their journaled batches (DESIGN.md
+  /// §11).
   void SkipStep(core::SimTime until);
 
   /// The platform-side mutable state a snapshot must carry: everything a
-  /// resumed process cannot re-derive from re-construction (EWMAs evolve
-  /// per step; ids/cursor/failures accumulate).
+  /// resumed process can re-derive neither from re-construction nor from
+  /// the journal (EWMAs evolve per step; ids/cursor accumulate). Probe
+  /// failures are not here: resume re-commits them from the journal.
   struct StreamState {
     std::uint64_t next_record_id = 1;
     std::uint64_t route_change_cursor = 0;
     std::vector<double> ewma_rtt;  ///< one per vantage, AddVantage order
-    std::vector<ProbeFailure> failures;
   };
   StreamState CaptureStreamState() const;
   void RestoreStreamState(const StreamState& state);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "core/binio.h"
 #include "core/hash.h"
 #include "core/json.h"
 
@@ -393,127 +392,6 @@ LineageWaterfall Lineage::Totals() const {
 std::size_t Lineage::run_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return runs_.size();
-}
-
-void Lineage::Save(core::binio::Writer& w) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  w.PutU64(runs_.size());
-  for (const RunLedger& run : runs_) {
-    w.PutString(run.label);
-    w.PutU64(run.records.size());
-    for (const RecordEntry& entry : run.records) {
-      w.PutU32(entry.vantage);
-      w.PutU8(entry.intent);
-      w.PutU8(entry.attempts);
-      w.PutU8(entry.fault_mask);
-      w.PutU8(entry.copies);
-      w.PutU8(static_cast<std::uint8_t>(entry.stage));
-      w.PutBool(entry.seen);
-    }
-    w.PutU64(run.probe_failures.size());
-    for (const auto& [reason, count] : run.probe_failures) {
-      w.PutString(reason);
-      w.PutU64(count);
-    }
-    w.PutU64(run.units.size());
-    for (const auto& [name, unit] : run.units) {
-      w.PutString(name);
-      w.PutBool(unit.dropped);
-      w.PutDouble(unit.missing_fraction);
-      w.PutU64(unit.observed_cells);
-      w.PutU64(unit.masked_cells);
-      w.PutU64(unit.cells.size());
-      for (const CellEntry& cell : unit.cells) {
-        w.PutU32(cell.period);
-        core::binio::PutU64Vector(w, cell.ids.encoded());
-      }
-      core::binio::PutU64Vector(w, unit.dropped_ids.encoded());
-      w.PutBool(unit.used_treated);
-      w.PutBool(unit.used_donor);
-    }
-    w.PutU64(run.estimates.size());
-    for (const EstimateEntry& estimate : run.estimates) {
-      w.PutString(estimate.label);
-      w.PutString(estimate.treated);
-      w.PutU64(estimate.donors.size());
-      for (const std::string& donor : estimate.donors) w.PutString(donor);
-      w.PutDouble(estimate.effect);
-      w.PutDouble(estimate.p_value);
-    }
-    w.PutU64(run.empty_units);
-    w.PutU64(run.event_count);
-  }
-}
-
-bool Lineage::Load(core::binio::Reader& r) {
-  std::vector<RunLedger> loaded;
-  const std::uint64_t run_count = r.GetU64();
-  for (std::uint64_t i = 0; i < run_count && r.ok(); ++i) {
-    RunLedger run;
-    run.label = r.GetString();
-    const std::uint64_t record_count = r.GetU64();
-    if (!r.ok() || record_count > r.remaining()) return false;
-    run.records.reserve(static_cast<std::size_t>(record_count));
-    for (std::uint64_t k = 0; k < record_count && r.ok(); ++k) {
-      RecordEntry entry;
-      entry.vantage = r.GetU32();
-      entry.intent = r.GetU8();
-      entry.attempts = r.GetU8();
-      entry.fault_mask = r.GetU8();
-      entry.copies = r.GetU8();
-      entry.stage = static_cast<LineageStage>(r.GetU8());
-      entry.seen = r.GetBool();
-      run.records.push_back(entry);
-    }
-    const std::uint64_t failure_count = r.GetU64();
-    for (std::uint64_t k = 0; k < failure_count && r.ok(); ++k) {
-      const std::string reason = r.GetString();
-      run.probe_failures[reason] = r.GetU64();
-    }
-    const std::uint64_t unit_count = r.GetU64();
-    for (std::uint64_t k = 0; k < unit_count && r.ok(); ++k) {
-      const std::string name = r.GetString();
-      UnitLedger unit;
-      unit.dropped = r.GetBool();
-      unit.missing_fraction = r.GetDouble();
-      unit.observed_cells = r.GetU64();
-      unit.masked_cells = r.GetU64();
-      const std::uint64_t cell_count = r.GetU64();
-      if (!r.ok() || cell_count > r.remaining()) return false;
-      unit.cells.reserve(static_cast<std::size_t>(cell_count));
-      for (std::uint64_t c = 0; c < cell_count && r.ok(); ++c) {
-        CellEntry cell;
-        cell.period = r.GetU32();
-        cell.ids = IdRunSet::FromEncoded(core::binio::GetU64Vector(r));
-        unit.cells.push_back(std::move(cell));
-      }
-      unit.dropped_ids = IdRunSet::FromEncoded(core::binio::GetU64Vector(r));
-      unit.used_treated = r.GetBool();
-      unit.used_donor = r.GetBool();
-      run.units.emplace(name, std::move(unit));
-    }
-    const std::uint64_t estimate_count = r.GetU64();
-    for (std::uint64_t k = 0; k < estimate_count && r.ok(); ++k) {
-      EstimateEntry estimate;
-      estimate.label = r.GetString();
-      estimate.treated = r.GetString();
-      const std::uint64_t donor_count = r.GetU64();
-      if (!r.ok() || donor_count > r.remaining()) return false;
-      for (std::uint64_t d = 0; d < donor_count && r.ok(); ++d) {
-        estimate.donors.push_back(r.GetString());
-      }
-      estimate.effect = r.GetDouble();
-      estimate.p_value = r.GetDouble();
-      run.estimates.push_back(std::move(estimate));
-    }
-    run.empty_units = r.GetU64();
-    run.event_count = r.GetU64();
-    loaded.push_back(std::move(run));
-  }
-  if (!r.ok()) return false;
-  std::lock_guard<std::mutex> lock(mu_);
-  runs_ = std::move(loaded);
-  return true;
 }
 
 namespace {

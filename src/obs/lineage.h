@@ -46,11 +46,6 @@
 #include <string_view>
 #include <vector>
 
-namespace sisyphus::core::binio {
-class Writer;
-class Reader;
-}  // namespace sisyphus::core::binio
-
 namespace sisyphus::obs {
 
 /// Pipeline stages a record can terminate in, ordered by depth: a
@@ -99,8 +94,8 @@ class IdRunSet {
   /// Builds from ids sorted ascending (duplicates are collapsed).
   static IdRunSet FromSorted(const std::vector<std::uint64_t>& sorted_ids);
 
-  /// Rebuilds from a previously serialized encoded() vector (snapshot
-  /// restore); size and digest are recomputed from the encoding.
+  /// Rebuilds from a previously serialized encoded() vector (an audit.bin
+  /// id-run slice); size and digest are recomputed from the encoding.
   static IdRunSet FromEncoded(std::vector<std::uint64_t> encoded);
 
   std::uint64_t size() const { return size_; }
@@ -263,11 +258,6 @@ class Lineage {
   /// Applies a captured per-task event buffer in order (called from the
   /// TaskObserver merge on the region's calling thread).
   void Replay(const std::vector<internal::LineageEvent>& events);
-
-  /// Serializes / restores the full ledger (every run, record entry, unit
-  /// cell set, and estimate) for a durable snapshot (DESIGN.md §11).
-  void Save(core::binio::Writer& w) const;
-  bool Load(core::binio::Reader& r);
 
   // Ledger internals, public so read-only consumers (the audit artifact
   // writer in src/audit/) can walk the resolved ledger through VisitRuns

@@ -8,7 +8,9 @@
 //   * a torn tail from a crash mid-journal-write is benign;
 //   * a corrupt newest snapshot falls back to the previous one; when every
 //     snapshot is corrupt the resume fails loudly;
-//   * journal corruption before the tail fails loudly;
+//   * journal corruption before the tail fails loudly, and so does a
+//     re-checksummed frame below the snapshot seq that does not decode or
+//     disagrees with the snapshot (the journal is the store's log there);
 //   * the supervisor names the step whose ingest failed, and a resume
 //     recovers that step from the journal;
 //   * shed-on-overload and the pipelined queue preserve byte-identity;
@@ -25,6 +27,7 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "core/parallel.h"
 #include "core/rng.h"
@@ -528,6 +531,97 @@ TEST_F(DurableStreamTest, SigtermInterruptsCleanlyAndResumes) {
   ExpectIdentical(resumed.artifacts, reference, "resume after SIGTERM");
 }
 
+/// Rewrites `dir`'s journal with frame `seq` decoded, passed to `edit`,
+/// and re-encoded, every frame re-checksummed: a forgery the frame
+/// checksum cannot catch.
+void ForgeJournalFrame(const std::string& dir, std::uint64_t seq,
+                       const std::function<void(durable::DecodedStep&)>& edit) {
+  const std::string path = dir + "/journal.bin";
+  durable::JournalScan scan = durable::ScanJournal(path);
+  ASSERT_FALSE(scan.corrupt);
+  ASSERT_GE(scan.frames.size(), seq);
+  auto decoded = durable::DecodeStep(scan.frames[seq - 1].payload);
+  ASSERT_TRUE(decoded.ok()) << decoded.error().message();
+  edit(decoded.value());
+  scan.frames[seq - 1].payload = durable::EncodeStep(
+      decoded.value().step, decoded.value().next_record_id_after);
+  durable::Journal journal;
+  ASSERT_TRUE(journal.Open(path, 0, 1));
+  for (const durable::JournalFrame& frame : scan.frames) {
+    ASSERT_TRUE(journal.Append(frame.seq, frame.payload));
+  }
+}
+
+// Below the snapshot seq the journal is the store's log, so a frame that
+// passes its checksum but does not decode must stop the resume.
+TEST_F(DurableStreamTest, ForgedFrameBelowSnapshotFailsLoudly) {
+  const std::string dir = MakeDir("durable-forged");
+  RunSpec crash;
+  crash.dir = dir;
+  crash.stop_after = 12;  // snapshots at 5 and 10
+  ASSERT_TRUE(RunDurable(crash).ok);
+  ForgeJournalFrame(dir, 2, [](durable::DecodedStep& frame) {
+    ASSERT_FALSE(frame.step.records.empty());
+    frame.step.records[0].record.intent = static_cast<measure::Intent>(7);
+  });
+
+  RunSpec resume;
+  resume.dir = dir;
+  resume.resume = true;
+  const RunResult resumed = RunDurable(resume);
+  ASSERT_FALSE(resumed.ok);
+  EXPECT_NE(resumed.error.find(
+                "journal frame 2 below snapshot 10: intent out of range"),
+            std::string::npos)
+      << resumed.error;
+}
+
+// A frame whose ids skip ahead decodes on its own but breaks the record-id
+// chain the snapshot's watermark closes.
+TEST_F(DurableStreamTest, JournalDisagreeingWithSnapshotFailsLoudly) {
+  const std::string dir = MakeDir("durable-idgap");
+  RunSpec crash;
+  crash.dir = dir;
+  crash.stop_after = 12;
+  ASSERT_TRUE(RunDurable(crash).ok);
+  ForgeJournalFrame(dir, 3, [](durable::DecodedStep& frame) {
+    frame.next_record_id_after += 1;
+    for (measure::PendingRecord& pending : frame.step.records) {
+      pending.record.id = core::MeasurementId(pending.record.id.value() + 1);
+    }
+  });
+
+  RunSpec resume;
+  resume.dir = dir;
+  resume.resume = true;
+  const RunResult resumed = RunDurable(resume);
+  ASSERT_FALSE(resumed.ok);
+  EXPECT_NE(resumed.error.find("journal frame 3 below snapshot 10: record "
+                               "ids do not continue"),
+            std::string::npos)
+      << resumed.error;
+}
+
+// The shed cap decides which journaled records reach the store, so a
+// resume under a different cap than the snapshot's must not proceed.
+TEST_F(DurableStreamTest, ShedCapMismatchFailsLoudly) {
+  const std::string dir = MakeDir("durable-shedcap");
+  RunSpec crash;
+  crash.dir = dir;
+  crash.shed_max = 3;
+  crash.stop_after = 12;
+  ASSERT_TRUE(RunDurable(crash).ok);
+
+  RunSpec resume;
+  resume.dir = dir;
+  resume.resume = true;
+  const RunResult resumed = RunDurable(resume);
+  ASSERT_FALSE(resumed.ok);
+  EXPECT_NE(resumed.error.find("max_step_records 3, this run uses 0"),
+            std::string::npos)
+      << resumed.error;
+}
+
 // ---------------------------------------------------------------------------
 // Journal scan unit properties: torn tail vs mid-file corruption vs gaps.
 
@@ -598,6 +692,89 @@ TEST(DurableJournalTest, ChecksumCoversSeqAndPayload) {
             durable::FrameChecksum(1, "alphb"));
   EXPECT_EQ(durable::FrameChecksum(7, "payload"),
             durable::FrameChecksum(7, "payload"));
+}
+
+/// Three records (one duplicated, one from a second unit) ending at id 42,
+/// and one probe failure.
+measure::StepOutput SampleStep() {
+  measure::StepOutput step;
+  step.step_end = core::SimTime::FromHours(3);
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    measure::PendingRecord pending;
+    measure::SpeedTestRecord& record = pending.record;
+    record.id = core::MeasurementId(40 + i);
+    record.time = core::SimTime(static_cast<std::int64_t>(170 + i));
+    record.asn = core::Asn(3741);
+    record.city = i == 1 ? "Cape Town" : "East London";
+    record.vantage_pop = static_cast<netsim::PopIndex>(5 + i);
+    record.server_pop = 1;
+    record.rtt_ms = 20.5 + static_cast<double>(i);
+    record.loss_rate = 0.01;
+    record.throughput_mbps = 80.0;
+    record.intent = i == 2 ? measure::Intent::kEventTriggered
+                           : measure::Intent::kBaseline;
+    record.attempts = static_cast<std::uint32_t>(1 + i);
+    pending.duplicate = i == 1;
+    pending.fault_mask = i == 1 ? obs::kLineageFaultDuplicated : 0;
+    step.records.push_back(pending);
+  }
+  step.failures.push_back({core::SimTime(175), 9,
+                           measure::Intent::kUserInitiated,
+                           measure::ProbeFault::kProbeLoss, 3});
+  return step;
+}
+
+std::string DecodeError(std::string_view payload) {
+  const auto decoded = durable::DecodeStep(payload);
+  return decoded.ok() ? "accepted" : decoded.error().message();
+}
+
+TEST(DurableJournalTest, DecodeStepInvertsEncodeStep) {
+  const std::string payload = durable::EncodeStep(SampleStep(), 43);
+  const auto decoded = durable::DecodeStep(payload);
+  ASSERT_TRUE(decoded.ok()) << decoded.error().message();
+  EXPECT_EQ(decoded.value().next_record_id_after, 43u);
+  EXPECT_EQ(decoded.value().step.records.size(), 3u);
+  EXPECT_EQ(decoded.value().step.records[1].record.city, "Cape Town");
+  EXPECT_TRUE(decoded.value().step.records[1].duplicate);
+  EXPECT_EQ(decoded.value().step.failures.size(), 1u);
+  EXPECT_EQ(durable::EncodeStep(decoded.value().step, 43), payload);
+
+  const measure::StepOutput empty;
+  EXPECT_TRUE(durable::DecodeStep(durable::EncodeStep(empty, 1)).ok());
+}
+
+TEST(DurableJournalTest, DecodeStepRejectsForgedFrames) {
+  const std::string payload = durable::EncodeStep(SampleStep(), 43);
+  for (std::size_t size = 0; size < payload.size(); ++size) {
+    EXPECT_NE(DecodeError(payload.substr(0, size)), "accepted") << size;
+  }
+  EXPECT_EQ(DecodeError(payload + "x"), "trailing bytes");
+
+  std::string counted = payload;
+  counted[16 + 5] = 1;  // record count + 2^40
+  EXPECT_EQ(DecodeError(counted), "record count beyond the payload");
+
+  measure::StepOutput step = SampleStep();
+  step.records[2].record.intent = static_cast<measure::Intent>(3);
+  EXPECT_EQ(DecodeError(durable::EncodeStep(step, 43)), "intent out of range");
+
+  step = SampleStep();
+  step.records[0].fault_mask = 0x10;
+  EXPECT_EQ(DecodeError(durable::EncodeStep(step, 43)),
+            "fault mask out of range");
+
+  step = SampleStep();
+  step.failures[0].reason = static_cast<measure::ProbeFault>(5);
+  EXPECT_EQ(DecodeError(durable::EncodeStep(step, 43)),
+            "failure intent or reason out of range");
+
+  step = SampleStep();
+  step.records[1].record.id = core::MeasurementId(45);
+  EXPECT_EQ(DecodeError(durable::EncodeStep(step, 43)),
+            "non-consecutive record ids");
+  EXPECT_EQ(DecodeError(durable::EncodeStep(SampleStep(), 3)),
+            "record-id watermark below the record count");
 }
 
 // ---------------------------------------------------------------------------

@@ -13,6 +13,12 @@
 //
 // Each forged binary carries valid checksums, so the tools must reject it
 // on bounds or on conservation, not on a checksum.
+//
+// forge_artifact --journal DURABLE_DIR OUT_DIR — copies a durable
+// directory's snapshots into OUT_DIR and rewrites its journal with the
+// first record of the first record-bearing frame given intent code 7,
+// every frame re-checksummed. That frame lies below any snapshot, so a
+// --resume from OUT_DIR must refuse it when it re-ingests the journal.
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -22,6 +28,9 @@
 #include <string>
 
 #include "artifact_forge.h"
+#include "durable/journal.h"
+#include "durable/service.h"
+#include "durable/snapshot.h"
 
 namespace {
 
@@ -58,11 +67,62 @@ std::string BumpJsonAttempted(std::string json) {
   return json;
 }
 
+/// The --journal mode: see the header comment.
+void ForgeJournalIntent(const fs::path& src, const fs::path& out) {
+  namespace durable = sisyphus::durable;
+  const durable::JournalScan scan =
+      durable::ScanJournal((src / "journal.bin").string());
+  if (scan.corrupt || scan.frames.empty()) {
+    throw std::invalid_argument("no clean journal in " + src.string());
+  }
+  fs::create_directories(out);
+  for (const durable::SnapshotEntry& snap :
+       durable::ListSnapshots(src.string())) {
+    fs::copy_file(snap.path, out / fs::path(snap.path).filename(),
+                  fs::copy_options::overwrite_existing);
+  }
+  durable::Journal journal;
+  std::string error;
+  if (!journal.Open((out / "journal.bin").string(), 0, 1024, &error)) {
+    throw std::invalid_argument(error);
+  }
+  bool forged = false;
+  for (const durable::JournalFrame& frame : scan.frames) {
+    std::string payload = frame.payload;
+    if (!forged) {
+      auto decoded = durable::DecodeStep(payload);
+      if (decoded.ok() && !decoded.value().step.records.empty()) {
+        decoded.value().step.records[0].record.intent =
+            static_cast<sisyphus::measure::Intent>(7);
+        payload = durable::EncodeStep(decoded.value().step,
+                                      decoded.value().next_record_id_after);
+        forged = true;
+      }
+    }
+    if (!journal.Append(frame.seq, payload)) {
+      throw std::invalid_argument("cannot append to the forged journal");
+    }
+  }
+  if (!forged) throw std::invalid_argument("journal holds no records");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (argc == 4 && std::string(argv[1]) == "--journal") {
+    try {
+      ForgeJournalIntent(argv[2], argv[3]);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "forge_artifact: %s\n", e.what());
+      return 1;
+    }
+    std::printf("forged a journal under %s\n", argv[3]);
+    return 0;
+  }
   if (argc != 3) {
-    std::fprintf(stderr, "usage: forge_artifact SRC_DIR OUT_DIR\n");
+    std::fprintf(stderr,
+                 "usage: forge_artifact SRC_DIR OUT_DIR\n"
+                 "       forge_artifact --journal DURABLE_DIR OUT_DIR\n");
     return 2;
   }
   namespace forge = sisyphus::forge;

@@ -1,7 +1,7 @@
 // Seeded mutation fuzzing of every reader of untrusted bytes (ROADMAP
 // "correctness and robustness"): audit.bin (AuditReader), timeline.bin
-// (TimelineReader), the durable journal and snapshot files, JSON, the DAG
-// DSL, and CSV. Each reader must answer a mutated input with an error or a
+// (TimelineReader), the durable journal and snapshot files, the journal's
+// step frames (DecodeStep), JSON, the DAG DSL, and CSV. Each reader must answer a mutated input with an error or a
 // value — never a crash, an exception, or (under ASan+UBSan) a memory or
 // arithmetic fault.
 //
@@ -34,6 +34,7 @@
 #include "core/json.h"
 #include "core/rng.h"
 #include "durable/journal.h"
+#include "durable/service.h"
 #include "durable/snapshot.h"
 #include "obs/lineage.h"
 #include "obs/timeline.h"
@@ -404,6 +405,17 @@ bool ExerciseSnapshot(const std::string& bytes) {
   return durable::ReadSnapshotFile(WriteScratch("fuzz-snap.bin", bytes)).ok;
 }
 
+bool ExerciseStepDecode(const std::string& bytes) {
+  const auto decoded = durable::DecodeStep(bytes);
+  if (!decoded.ok()) return false;
+  // Every byte is a field decoded losslessly, so an accepted frame
+  // re-encodes to itself.
+  EXPECT_EQ(durable::EncodeStep(decoded.value().step,
+                                decoded.value().next_record_id_after),
+            bytes);
+  return true;
+}
+
 bool ExerciseJson(const std::string& text) {
   return core::json::Parse(text).ok();
 }
@@ -455,6 +467,36 @@ TEST(FuzzReadersTest, SnapshotRead) {
   const std::string path = (ScratchDir() / "seed-snap.bin").string();
   ASSERT_TRUE(durable::WriteSnapshotFile(path, std::string(300, 's')));
   Fuzz("snapshot", {ReadScratch(path)}, 3000, ByteMutant, ExerciseSnapshot);
+}
+
+TEST(FuzzReadersTest, JournalStepDecode) {
+  measure::StepOutput step;
+  step.step_end = core::SimTime(360);
+  for (std::uint64_t id = 7; id < 12; ++id) {
+    measure::PendingRecord pending;
+    pending.record.id = core::MeasurementId(id);
+    pending.record.time = core::SimTime(static_cast<std::int64_t>(300 + id));
+    pending.record.asn = core::Asn(static_cast<std::uint32_t>(3741 + id % 2));
+    pending.record.city = id % 2 == 0 ? "Durban" : "East London";
+    pending.record.vantage_pop = static_cast<netsim::PopIndex>(id % 3);
+    pending.record.rtt_ms = 10.0 + static_cast<double>(id);
+    pending.record.loss_rate = 0.02;
+    pending.record.throughput_mbps = 50.0;
+    pending.record.intent = static_cast<measure::Intent>(id % 3);
+    pending.record.attempts = static_cast<std::uint32_t>(1 + id % 3);
+    pending.duplicate = id == 9;
+    pending.fault_mask = static_cast<std::uint8_t>(id % 16);
+    step.records.push_back(pending);
+  }
+  step.failures.push_back({core::SimTime(320), 2, measure::Intent::kBaseline,
+                           measure::ProbeFault::kVantageOutage, 3});
+  measure::StepOutput failures_only;
+  failures_only.step_end = core::SimTime(420);
+  failures_only.failures = step.failures;
+  Fuzz("step",
+       {durable::EncodeStep(step, 12), durable::EncodeStep(failures_only, 12),
+        durable::EncodeStep(measure::StepOutput{}, 1)},
+       20000, ByteMutant, ExerciseStepDecode);
 }
 
 TEST(FuzzReadersTest, JsonParse) {
