@@ -3,6 +3,8 @@
 // --obs-out wiring (metrics + tracing + run-manifest artifacts).
 #pragma once
 
+#include <cctype>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -25,14 +27,25 @@ namespace sisyphus::bench {
 /// never see it) and sizes the global thread pool accordingly. Without the
 /// flag the pool obeys SISYPHUS_THREADS, else hardware concurrency; output
 /// is byte-identical at any setting (DESIGN.md §7), only wall-clock moves.
-/// Every bench binary calls this first thing in main().
+/// A missing or non-positive-integer N exits 2 naming the argument, so a
+/// typo never runs at a lane count nobody asked for. Every bench binary
+/// calls this first thing in main().
 inline void ApplyThreadsFlag(int& argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") != 0 || i + 1 >= argc) continue;
-    const long parsed = std::strtol(argv[i + 1], nullptr, 10);
-    if (parsed >= 1) {
-      core::ThreadPool::SetGlobalThreadCount(static_cast<std::size_t>(parsed));
+    if (std::strcmp(argv[i], "--threads") != 0) continue;
+    const char* text = i + 1 < argc ? argv[i + 1] : "";
+    errno = 0;
+    char* end = nullptr;
+    const unsigned long long parsed =
+        std::isdigit(static_cast<unsigned char>(text[0]))
+            ? std::strtoull(text, &end, 10)
+            : 0;
+    if (end == nullptr || *end != '\0' || errno != 0 || parsed == 0) {
+      std::fprintf(stderr, "--threads must be a positive integer, got '%s'\n",
+                   text);
+      std::exit(2);
     }
+    core::ThreadPool::SetGlobalThreadCount(static_cast<std::size_t>(parsed));
     for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
     argc -= 2;
     return;

@@ -51,7 +51,6 @@ struct DurableArgs {
   std::uint64_t snapshot_every = 16;
   std::uint64_t fsync_every = 8;
   std::uint64_t shed_max = 0;
-  bool pipeline = false;
   std::string chaos_spec;
 };
 
@@ -226,7 +225,6 @@ int Main(bool ablation, const std::string& export_dir,
       durable_options.snapshot_every = durable_args.snapshot_every;
       durable_options.fsync_every = durable_args.fsync_every;
       durable_options.max_step_records = durable_args.shed_max;
-      durable_options.pipelined = durable_args.pipeline;
       if (!durable_args.chaos_spec.empty()) {
         auto chaos = durable::ParseChaosSpec(durable_args.chaos_spec);
         if (!chaos.ok()) {
@@ -468,33 +466,51 @@ int main(int argc, char** argv) {
   std::string obs_dir;
   DurableArgs durable_args;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--ablation") == 0) {
+    const char* flag = argv[i];
+    const auto is = [&](const char* name) {
+      return std::strcmp(flag, name) == 0;
+    };
+    if (is("--ablation")) {
       ablation = true;
-    } else if (std::strcmp(argv[i], "--streaming") == 0) {
+      continue;
+    }
+    if (is("--streaming")) {
       streaming = true;
-    } else if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
-      if (!ParseScaleFlag(argv[++i], scale)) return 2;
-    } else if (std::strcmp(argv[i], "--export-dir") == 0 && i + 1 < argc) {
-      export_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--obs-out") == 0 && i + 1 < argc) {
-      obs_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--durable-dir") == 0 && i + 1 < argc) {
-      durable_args.dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--resume") == 0) {
+      continue;
+    }
+    if (is("--resume")) {
       durable_args.resume = true;
-    } else if (std::strcmp(argv[i], "--snapshot-every") == 0 && i + 1 < argc) {
-      const char* flag = argv[i++];
-      if (!ParseCountFlag(flag, argv[i], durable_args.snapshot_every)) return 2;
-    } else if (std::strcmp(argv[i], "--fsync-every") == 0 && i + 1 < argc) {
-      const char* flag = argv[i++];
-      if (!ParseCountFlag(flag, argv[i], durable_args.fsync_every)) return 2;
-    } else if (std::strcmp(argv[i], "--shed-max") == 0 && i + 1 < argc) {
-      const char* flag = argv[i++];
-      if (!ParseCountFlag(flag, argv[i], durable_args.shed_max)) return 2;
-    } else if (std::strcmp(argv[i], "--pipeline") == 0) {
-      durable_args.pipeline = true;
-    } else if (std::strcmp(argv[i], "--chaos") == 0 && i + 1 < argc) {
-      durable_args.chaos_spec = argv[++i];
+      continue;
+    }
+    const bool takes_value =
+        is("--scale") || is("--export-dir") || is("--obs-out") ||
+        is("--durable-dir") || is("--snapshot-every") ||
+        is("--fsync-every") || is("--shed-max") || is("--chaos");
+    if (!takes_value) {
+      std::fprintf(stderr, "unknown argument '%s'\n", flag);
+      return 2;
+    }
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "%s needs a value\n", flag);
+      return 2;
+    }
+    const char* value = argv[++i];
+    if (is("--scale")) {
+      if (!ParseScaleFlag(value, scale)) return 2;
+    } else if (is("--export-dir")) {
+      export_dir = value;
+    } else if (is("--obs-out")) {
+      obs_dir = value;
+    } else if (is("--durable-dir")) {
+      durable_args.dir = value;
+    } else if (is("--snapshot-every")) {
+      if (!ParseCountFlag(flag, value, durable_args.snapshot_every)) return 2;
+    } else if (is("--fsync-every")) {
+      if (!ParseCountFlag(flag, value, durable_args.fsync_every)) return 2;
+    } else if (is("--shed-max")) {
+      if (!ParseCountFlag(flag, value, durable_args.shed_max)) return 2;
+    } else {
+      durable_args.chaos_spec = value;
     }
   }
   if ((!durable_args.dir.empty() || durable_args.resume ||

@@ -97,13 +97,18 @@ class Reader {
     return v;
   }
 
-  std::string GetString() {
+  std::string GetString() { return std::string(GetStringView()); }
+
+  /// A length-prefixed string as a view into the decoded bytes (valid as
+  /// long as they are).
+  std::string_view GetStringView() {
     const std::uint64_t length = GetU64();
     if (!ok_ || length > data_.size() - pos_) {
       ok_ = false;
-      return std::string();
+      return std::string_view();
     }
-    std::string out(data_.substr(pos_, static_cast<std::size_t>(length)));
+    const std::string_view out =
+        data_.substr(pos_, static_cast<std::size_t>(length));
     pos_ += static_cast<std::size_t>(length);
     return out;
   }

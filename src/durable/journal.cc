@@ -4,8 +4,6 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "core/binio.h"
@@ -56,19 +54,24 @@ bool SyncFile(std::FILE* file) {
 
 JournalScan ScanJournal(const std::string& path, std::uint64_t first_seq) {
   JournalScan scan;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return scan;  // no journal yet: empty, valid
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string bytes = buffer.str();
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) return scan;  // no journal yet: empty, valid
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  scan.bytes.resize(ec ? 0 : static_cast<std::size_t>(size));
+  // A short read (the file shrank, or an I/O error) scans as a torn tail.
+  scan.bytes.resize(
+      std::fread(scan.bytes.data(), 1, scan.bytes.size(), file));
+  std::fclose(file);
+  const std::string_view bytes(scan.bytes.data(), scan.bytes.size());
 
   std::uint64_t expected_seq = first_seq;
-  std::size_t offset = 0;
-  while (offset < bytes.size()) {
-    binio::Reader r(std::string_view(bytes).substr(offset));
+  binio::Reader r(bytes);
+  while (scan.valid_bytes < bytes.size()) {
+    const std::size_t offset = static_cast<std::size_t>(scan.valid_bytes);
     const std::uint64_t magic = r.GetU64();
     const std::uint64_t seq = r.GetU64();
-    const std::string payload = r.GetString();
+    const std::string_view payload = r.GetStringView();
     const std::uint64_t checksum = r.GetU64();
 
     std::string what;
@@ -86,10 +89,7 @@ JournalScan ScanJournal(const std::string& path, std::uint64_t first_seq) {
       // file simply ran out) is a torn tail from a crash mid-write —
       // benign. A bad frame with data beyond it means the middle of the
       // journal was damaged.
-      const std::size_t consumed =
-          bytes.size() - offset - static_cast<std::size_t>(r.remaining());
-      const bool reaches_eof = !r.ok() || offset + consumed >= bytes.size();
-      if (reaches_eof) {
+      if (!r.ok() || r.remaining() == 0) {
         scan.torn_tail = true;
       } else {
         scan.corrupt = true;
@@ -99,10 +99,7 @@ JournalScan ScanJournal(const std::string& path, std::uint64_t first_seq) {
       }
       break;
     }
-    const std::size_t consumed =
-        bytes.size() - offset - static_cast<std::size_t>(r.remaining());
-    offset += consumed;
-    scan.valid_bytes = offset;
+    scan.valid_bytes = bytes.size() - r.remaining();
     scan.frames.push_back(JournalFrame{seq, payload});
     ++expected_seq;
   }

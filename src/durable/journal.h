@@ -36,11 +36,20 @@ std::uint64_t FrameChecksum(std::uint64_t seq, std::string_view payload);
 
 struct JournalFrame {
   std::uint64_t seq = 0;
-  std::string payload;
+  std::string_view payload;  ///< into the owning JournalScan's `bytes`
 };
 
-/// Result of scanning a journal file front to back.
+/// Result of scanning a journal file front to back. The file is read once
+/// into `bytes`, which the frames view; moving the scan keeps them valid,
+/// and copying is deleted because a copy's frames would view the source.
 struct JournalScan {
+  JournalScan() = default;
+  JournalScan(JournalScan&&) = default;
+  JournalScan& operator=(JournalScan&&) = default;
+  JournalScan(const JournalScan&) = delete;
+  JournalScan& operator=(const JournalScan&) = delete;
+
+  std::vector<char> bytes;           ///< the whole file
   std::vector<JournalFrame> frames;  ///< the valid prefix, seq-ascending
   std::uint64_t valid_bytes = 0;     ///< file offset where the prefix ends
   bool torn_tail = false;            ///< benign: incomplete/bad final frame

@@ -1,15 +1,10 @@
 #include "durable/service.h"
 
-#include <algorithm>
-#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
+#include <exception>
 #include <filesystem>
-#include <mutex>
-#include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "core/binio.h"
@@ -62,24 +57,13 @@ core::Result<ChaosOptions> ParseChaosSpec(std::string_view spec) {
     const std::string_view key = part.substr(0, eq);
     const std::string_view value =
         eq == std::string_view::npos ? std::string_view() : part.substr(eq + 1);
-    const auto parse_u64 = [](std::string_view v,
-                              std::uint64_t* out) -> bool {
-      if (v.empty()) return false;
-      std::uint64_t n = 0;
-      for (char c : v) {
-        if (c < '0' || c > '9') return false;
-        n = n * 10 + static_cast<std::uint64_t>(c - '0');
-      }
-      *out = n;
-      return true;
-    };
     if (key == "kill-after") {
-      if (!parse_u64(value, &chaos.kill_after_steps)) {
+      if (!ParseDecimalU64(value, &chaos.kill_after_steps)) {
         return core::Error(core::ErrorCode::kParseError,
                            "chaos: bad kill-after value");
       }
     } else if (key == "seed") {
-      if (!parse_u64(value, &chaos.seed)) {
+      if (!ParseDecimalU64(value, &chaos.seed)) {
         return core::Error(core::ErrorCode::kParseError,
                            "chaos: bad seed value");
       }
@@ -290,16 +274,8 @@ std::uint64_t ShedOverload(measure::StepOutput& step, std::uint64_t cap) {
   const std::uint64_t shed = step.records.size() - cap;
   if (obs::Lineage::enabled()) {
     for (std::size_t i = cap; i < step.records.size(); ++i) {
-      const measure::PendingRecord& pending = step.records[i];
-      obs::LineageRecordInfo info;
-      info.id = pending.record.id.value();
-      info.vantage = pending.record.vantage_pop;
-      info.intent = static_cast<std::uint8_t>(pending.record.intent);
-      info.attempts = static_cast<std::uint8_t>(
-          std::min<std::uint32_t>(pending.record.attempts, 255));
-      info.fault_mask = pending.fault_mask;
-      info.copies = pending.duplicate ? 2 : 1;
-      obs::Lineage::Global().RecordShed(info);
+      obs::Lineage::Global().RecordShed(
+          measure::LineageInfoOf(step.records[i]));
     }
   }
   SISYPHUS_METRIC_COUNT("measure.stream.shed_overload", shed);
@@ -307,133 +283,14 @@ std::uint64_t ShedOverload(measure::StepOutput& step, std::uint64_t cap) {
   return shed;
 }
 
-/// Commits a shed step: the batch into the campaign (serially on the
-/// pipelined consumer thread, which must not open pool regions), then
-/// the probe failures onto the platform.
+/// Commits a shed step: the batch into the campaign, then the probe
+/// failures onto the platform.
 void IngestStep(const measure::StepOutput& step,
                 measure::StreamingCampaign& campaign,
-                measure::Platform& platform, bool serial) {
-  if (serial) {
-    campaign.IngestBatchSerial(step.records);
-  } else {
-    campaign.IngestBatch(step.records);
-  }
+                measure::Platform& platform) {
+  campaign.IngestBatch(step.records);
   platform.CommitFailures(step.failures);
 }
-
-// ---------------------------------------------------------------------------
-// Pipelined ingest queue + supervisor
-
-/// Thrown by Push/Drain when the consumer failed: the error deterministically
-/// names the step whose ingest raised, regardless of how far ahead the
-/// producer ran.
-class IngestFailedError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
-class StepQueue {
- public:
-  struct Item {
-    std::uint64_t seq = 0;
-    measure::StepOutput step;
-  };
-
-  explicit StepQueue(std::size_t capacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
-
-  /// Producer. Blocks while the queue is full (backpressure: timing only —
-  /// batch content is fixed before Push). Throws if the consumer failed.
-  void Push(Item item) {
-    std::unique_lock<std::mutex> lock(mu_);
-    space_.wait(lock,
-                [&] { return failed_ || items_.size() < capacity_; });
-    ThrowIfFailedLocked();
-    items_.push_back(std::move(item));
-    ready_.notify_one();
-  }
-
-  /// Consumer. False once closed and empty.
-  bool Pop(Item* out) {
-    std::unique_lock<std::mutex> lock(mu_);
-    ready_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return false;
-    *out = std::move(items_.front());
-    items_.pop_front();
-    busy_ = true;
-    space_.notify_all();
-    return true;
-  }
-
-  /// Consumer, after each successful ingest.
-  void ItemDone() {
-    std::lock_guard<std::mutex> lock(mu_);
-    busy_ = false;
-    space_.notify_all();
-  }
-
-  /// Consumer, on ingest exception: records which step failed; further
-  /// Push/Drain calls throw.
-  void Fail(std::uint64_t seq, std::string what) {
-    std::lock_guard<std::mutex> lock(mu_);
-    failed_ = true;
-    failed_seq_ = seq;
-    failure_ = std::move(what);
-    busy_ = false;
-    items_.clear();
-    space_.notify_all();
-    ready_.notify_all();
-  }
-
-  /// Producer. Waits until every queued batch is fully ingested (snapshots
-  /// and shutdown quiesce through this). Throws if the consumer failed.
-  void Drain() {
-    std::unique_lock<std::mutex> lock(mu_);
-    space_.wait(lock, [&] { return failed_ || (items_.empty() && !busy_); });
-    ThrowIfFailedLocked();
-  }
-
-  void Close() {
-    std::lock_guard<std::mutex> lock(mu_);
-    closed_ = true;
-    ready_.notify_all();
-  }
-
-  /// Producer-side backlog snapshot (log-line telemetry only — never a
-  /// gauge input; depth depends on consumer timing).
-  std::size_t Depth() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return items_.size() + (busy_ ? 1 : 0);
-  }
-
- private:
-  void ThrowIfFailedLocked() {
-    if (failed_) {
-      throw IngestFailedError("streaming ingest failed at step " +
-                              std::to_string(failed_seq_) + ": " + failure_);
-    }
-  }
-
-  std::mutex mu_;
-  std::condition_variable ready_, space_;
-  std::deque<Item> items_;
-  std::size_t capacity_;
-  bool closed_ = false;
-  bool busy_ = false;
-  bool failed_ = false;
-  std::uint64_t failed_seq_ = 0;
-  std::string failure_;
-};
-
-/// Joins the consumer on every exit path (including exceptions).
-struct ConsumerGuard {
-  StepQueue* queue = nullptr;
-  std::thread thread;
-  ~ConsumerGuard() {
-    if (queue != nullptr) queue->Close();
-    if (thread.joinable()) thread.join();
-  }
-};
 
 bool FlipByte(const std::string& path, std::size_t offset) {
   std::FILE* file = std::fopen(path.c_str(), "r+b");
@@ -617,12 +474,10 @@ core::Result<RunStats> DurableStreamingService::RunInternal(core::SimTime until,
                                  " below snapshot " +
                                  std::to_string(start_seq) + ": " + problem);
         }
-        // From here on the store holds the frame's records: drop its bytes.
-        std::string().swap(scan.frames[frame_seq - 1].payload);
         measure::StepOutput& step = decoded.value().step;
         next_record_id = decoded.value().next_record_id_after;
         ShedOverload(step, options_.max_step_records);
-        IngestStep(step, campaign_, platform_, /*serial=*/false);
+        IngestStep(step, campaign_, platform_);
       }
       if (next_record_id != head.stream.next_record_id) {
         return core::Error(core::ErrorCode::kParseError,
@@ -660,40 +515,10 @@ core::Result<RunStats> DurableStreamingService::RunInternal(core::SimTime until,
     }
   }
 
-  // Pin the fixed produce-phase series ids before the consumer thread can
-  // declare its first rtt.mean.* series (idempotent after a resume — the
-  // restored timeline already holds them).
   measure::DeclareStreamTelemetrySeries();
 
-  // -- pipelined consumer ---------------------------------------------------
-  StepQueue queue(options_.queue_capacity);
-  ConsumerGuard consumer;
-  if (options_.pipelined) {
-    consumer.queue = &queue;
-    consumer.thread = std::thread([this, &queue] {
-      StepQueue::Item item;
-      while (queue.Pop(&item)) {
-        try {
-          if (options_.ingest_fault) options_.ingest_fault(item.seq);
-          IngestStep(item.step, campaign_, platform_, /*serial=*/true);
-          // Ingest-phase timeline sample, before ItemDone so quiesce
-          // points (snapshots, chaos kills) never see a half-sampled step.
-          measure::SampleTimelineIngest(item.seq, campaign_);
-          queue.ItemDone();
-        } catch (const std::exception& e) {
-          queue.Fail(item.seq, e.what());
-          return;
-        }
-      }
-    });
-  }
-
-  const auto quiesce = [&] {
-    if (options_.pipelined) queue.Drain();
-  };
   std::uint64_t last_snapshot_seq = start_seq;
   const auto write_snapshot = [&](std::uint64_t seq) -> core::Result<bool> {
-    quiesce();
     journal.Flush();
     const std::string payload = EncodeSnapshotPayload(
         seq, rng, platform_, options_.max_step_records);
@@ -714,129 +539,111 @@ core::Result<RunStats> DurableStreamingService::RunInternal(core::SimTime until,
 
   // -- the step loop --------------------------------------------------------
   std::uint64_t seq = start_seq;
-  // Committed-record total for the heartbeat gauges. Tracked locally
-  // (campaign_.ingested() lags the producer in pipelined mode); seeded
-  // from the journal re-ingest so a resumed run's gauge stream continues
-  // exactly where the killed run's left off.
-  std::uint64_t committed_records = campaign_.ingested();
   std::uint64_t next_record_id_after = restored ? head.stream.next_record_id : 1;
   stats.outcome = RunOutcome::kCompleted;
-  try {
-    while (platform_.Now() < until) {
-      if (InterruptRequested()) {
-        stats.outcome = RunOutcome::kInterrupted;
-        break;
-      }
-      measure::StepOutput step = platform_.GenerateStep(until, rng);
-      ++seq;
-      if (!step.records.empty()) {
-        next_record_id_after = step.records.back().record.id.value() + 1;
-      }
-      const std::string payload = EncodeStep(step, next_record_id_after);
+  while (platform_.Now() < until) {
+    if (InterruptRequested()) {
+      stats.outcome = RunOutcome::kInterrupted;
+      break;
+    }
+    measure::StepOutput step = platform_.GenerateStep(until, rng);
+    ++seq;
+    if (!step.records.empty()) {
+      next_record_id_after = step.records.back().record.id.value() + 1;
+    }
+    const std::string payload = EncodeStep(step, next_record_id_after);
 
-      if (seq <= high_water) {
-        // Verified re-execution: the regenerated step must match the
-        // journaled frame byte-for-byte, or the restored state diverged
-        // from the original run.
-        const JournalFrame& frame = scan.frames[seq - 1];
-        if (frame.payload != payload) {
-          return core::Error(
-              core::ErrorCode::kInvalidArgument,
-              "durable resume: journal verification failed at step " +
-                  std::to_string(seq) +
-                  " (regenerated step diverges from journaled frame)");
-        }
-        ++stats.replayed_steps;
-      } else {
-        if (!journal.Append(seq, payload)) {
-          return core::Error(core::ErrorCode::kInvalidArgument,
-                             "durable: journal append failed at step " +
-                                 std::to_string(seq));
-        }
-        stats.journal_high_water = seq;
+    if (seq <= high_water) {
+      // Verified re-execution: the regenerated step must match the
+      // journaled frame byte-for-byte, or the restored state diverged
+      // from the original run.
+      const JournalFrame& frame = scan.frames[seq - 1];
+      if (frame.payload != payload) {
+        return core::Error(
+            core::ErrorCode::kInvalidArgument,
+            "durable resume: journal verification failed at step " +
+                std::to_string(seq) +
+                " (regenerated step diverges from journaled frame)");
       }
-
-      // Shed AFTER the journal append (the journal witnesses the pre-shed
-      // batch) and BEFORE ingest.
-      stats.shed_records += ShedOverload(step, options_.max_step_records);
-
-      const std::uint64_t step_records = step.records.size();
-      if (options_.pipelined) {
-        StepQueue::Item item;
-        item.seq = seq;
-        item.step = std::move(step);
-        queue.Push(std::move(item));
-      } else {
-        try {
-          if (options_.ingest_fault) options_.ingest_fault(seq);
-          IngestStep(step, campaign_, platform_, /*serial=*/false);
-        } catch (const IngestFailedError&) {
-          throw;
-        } catch (const std::exception& e) {
-          throw IngestFailedError("streaming ingest failed at step " +
-                                  std::to_string(seq) + ": " + e.what());
-        }
+      ++stats.replayed_steps;
+    } else {
+      if (!journal.Append(seq, payload)) {
+        return core::Error(core::ErrorCode::kInvalidArgument,
+                           "durable: journal append failed at step " +
+                               std::to_string(seq));
       }
-      ++stats.steps;
-      committed_records += step_records;
-      measure::EmitStepTelemetry(
-          seq, committed_records, options_.pipelined ? queue.Depth() : 0,
-          platform_.options().heartbeat_every_steps, &campaign_,
-          /*ingest_sampled_elsewhere=*/options_.pipelined);
-
-      // Chaos: die at this step boundary, optionally corrupting state
-      // first, exactly as a crash would — _exit, no unwinding.
-      if (chaos_kill_seq != 0 && seq == chaos_kill_seq) {
-        quiesce();
-        journal.Flush();
-        if (options_.chaos.corrupt == ChaosOptions::CorruptTarget::kSnapshot) {
-          auto written = write_snapshot(seq);
-          if (written.ok()) {
-            FlipByte(SnapshotPath(options_.dir, seq), 20);
-          }
-        }
-        if (options_.chaos.mid_write) {
-          journal.AppendTorn(seq + 1, payload, 13);
-        }
-        if (options_.chaos.corrupt == ChaosOptions::CorruptTarget::kJournal) {
-          // Offset 26 lands inside the FIRST frame's payload, so the
-          // damage is before the journal tail and must be detected (use
-          // kill-after >= 2 so the frame is not the last one).
-          FlipByte(journal_path, 26);
-        }
-        std::printf("chaos: killed after step %llu\n",
-                    static_cast<unsigned long long>(seq));
-        std::fflush(stdout);
-        std::_Exit(137);
-      }
-
-      if (options_.snapshot_every > 0 &&
-          seq % options_.snapshot_every == 0 && platform_.Now() < until) {
-        auto written = write_snapshot(seq);
-        if (!written.ok()) return written.error();
-      }
-
-      if (options_.stop_after_steps > 0 &&
-          stats.steps >= options_.stop_after_steps &&
-          platform_.Now() < until) {
-        stats.outcome = RunOutcome::kStopped;
-        break;
-      }
+      stats.journal_high_water = seq;
     }
 
-    // -- shutdown -----------------------------------------------------------
-    quiesce();
-    journal.Flush();
-    if (stats.outcome != RunOutcome::kStopped) {
-      // Completed or interrupted: leave a snapshot at the boundary so a
-      // later resume (or a post-interrupt restart) fast-forwards instead
-      // of replaying the whole journal. kStopped emulates a crash, so it
-      // deliberately leaves only the journal.
+    // Shed AFTER the journal append (the journal witnesses the pre-shed
+    // batch) and BEFORE ingest.
+    stats.shed_records += ShedOverload(step, options_.max_step_records);
+
+    try {
+      if (options_.ingest_fault) options_.ingest_fault(seq);
+      IngestStep(step, campaign_, platform_);
+    } catch (const std::exception& e) {
+      return core::Error(core::ErrorCode::kInvalidArgument,
+                         "streaming ingest failed at step " +
+                             std::to_string(seq) + ": " + e.what());
+    }
+    ++stats.steps;
+    // campaign_.ingested() counts post-shed batch entries, the journal
+    // re-ingest's included, so a resumed run's gauge stream continues
+    // exactly where the killed run's left off.
+    measure::EmitStepTelemetry(seq, campaign_.ingested(), 0,
+                               platform_.options().heartbeat_every_steps,
+                               &campaign_,
+                               /*ingest_sampled_elsewhere=*/false);
+
+    // Chaos: die at this step boundary, optionally corrupting state
+    // first, exactly as a crash would — _exit, no unwinding.
+    if (chaos_kill_seq != 0 && seq == chaos_kill_seq) {
+      journal.Flush();
+      if (options_.chaos.corrupt == ChaosOptions::CorruptTarget::kSnapshot) {
+        auto written = write_snapshot(seq);
+        if (written.ok()) {
+          FlipByte(SnapshotPath(options_.dir, seq), 20);
+        }
+      }
+      if (options_.chaos.mid_write) {
+        journal.AppendTorn(seq + 1, payload, 13);
+      }
+      if (options_.chaos.corrupt == ChaosOptions::CorruptTarget::kJournal) {
+        // Offset 26 lands inside the FIRST frame's payload, so the
+        // damage is before the journal tail and must be detected (use
+        // kill-after >= 2 so the frame is not the last one).
+        FlipByte(journal_path, 26);
+      }
+      std::printf("chaos: killed after step %llu\n",
+                  static_cast<unsigned long long>(seq));
+      std::fflush(stdout);
+      std::_Exit(137);
+    }
+
+    if (options_.snapshot_every > 0 &&
+        seq % options_.snapshot_every == 0 && platform_.Now() < until) {
       auto written = write_snapshot(seq);
       if (!written.ok()) return written.error();
     }
-  } catch (const IngestFailedError& e) {
-    return core::Error(core::ErrorCode::kInvalidArgument, e.what());
+
+    if (options_.stop_after_steps > 0 &&
+        stats.steps >= options_.stop_after_steps &&
+        platform_.Now() < until) {
+      stats.outcome = RunOutcome::kStopped;
+      break;
+    }
+  }
+
+  // -- shutdown -------------------------------------------------------------
+  journal.Flush();
+  if (stats.outcome != RunOutcome::kStopped) {
+    // Completed or interrupted: leave a snapshot at the boundary so a
+    // later resume (or a post-interrupt restart) fast-forwards instead
+    // of replaying the whole journal. kStopped emulates a crash, so it
+    // deliberately leaves only the journal.
+    auto written = write_snapshot(seq);
+    if (!written.ok()) return written.error();
   }
 
   stats.snapshot_seq = last_snapshot_seq;

@@ -10,8 +10,8 @@
 //   3. shed — an optional deterministic per-step record cap; dropped
 //      records terminate in lineage as shed_overload with zero delivered
 //      copies (conservation stays exact);
-//   4. ingest — StreamingCampaign::IngestBatch (or, pipelined, a bounded
-//      queue feeding a consumer thread running the serial ingest path);
+//   4. ingest — StreamingCampaign::IngestBatch, then the step's telemetry,
+//      committed in step order on the calling thread;
 //   5. snapshot — every `snapshot_every` steps, the state whose size does
 //      not grow with the record count (seq, RNG, record-id watermark,
 //      route-change cursor, per-vantage EWMAs, the shed cap, metrics
@@ -63,7 +63,8 @@ struct ChaosOptions {
   std::uint64_t seed = 0;
 };
 
-/// Parses "kill-after=N[,mid-write][,corrupt=snapshot|journal][,seed=S]".
+/// Parses "kill-after=N[,mid-write][,corrupt=snapshot|journal][,seed=S]";
+/// N and S are decimal and must fit in 64 bits.
 core::Result<ChaosOptions> ParseChaosSpec(std::string_view spec);
 
 struct DurableOptions {
@@ -75,14 +76,10 @@ struct DurableOptions {
   std::uint64_t fsync_every = 8;
   /// Shed-on-overload: per-step record cap, keeping the first N in merge
   /// order (0 = unbounded). Deterministic — a pure function of the batch,
-  /// never of queue depth or wall-clock — so replays shed identically.
+  /// never of wall-clock — so replays shed identically.
   std::uint64_t max_step_records = 0;
   /// Snapshots retained (older ones pruned).
   std::size_t keep_snapshots = 3;
-  /// Pipelined mode: generation and ingest overlap via a bounded queue
-  /// (backpressure changes timing only, never artifact content).
-  bool pipelined = false;
-  std::size_t queue_capacity = 4;
   // Heartbeat cadence comes from PlatformOptions::heartbeat_every_steps —
   // one source of truth, so the durable loop's gauge/log stream (and the
   // timeline sampler riding the same hook) is identical to the plain

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "core/binio.h"
 #include "core/hash.h"
@@ -101,6 +103,17 @@ SnapshotRead ReadSnapshotFile(const std::string& path) {
   return result;
 }
 
+bool ParseDecimalU64(std::string_view text, std::uint64_t* out) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  // from_chars accepts no sign, space or prefix for an unsigned type, and
+  // reports overflow instead of wrapping.
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return false;
+  *out = value;
+  return true;
+}
+
 std::vector<SnapshotEntry> ListSnapshots(const std::string& dir) {
   std::vector<SnapshotEntry> entries;
   std::error_code ec;
@@ -108,17 +121,11 @@ std::vector<SnapshotEntry> ListSnapshots(const std::string& dir) {
     const std::string name = entry.path().filename().string();
     if (name.rfind("snap-", 0) != 0) continue;
     if (name.size() < 10 || name.substr(name.size() - 4) != ".bin") continue;
-    const std::string digits = name.substr(5, name.size() - 9);
     std::uint64_t seq = 0;
-    bool numeric = !digits.empty();
-    for (char c : digits) {
-      if (c < '0' || c > '9') {
-        numeric = false;
-        break;
-      }
-      seq = seq * 10 + static_cast<std::uint64_t>(c - '0');
+    if (!ParseDecimalU64(std::string_view(name).substr(5, name.size() - 9),
+                         &seq)) {
+      continue;
     }
-    if (!numeric) continue;
     entries.push_back(SnapshotEntry{seq, entry.path().string()});
   }
   std::sort(entries.begin(), entries.end(),

@@ -49,7 +49,13 @@ struct SnapshotEntry {
   std::string path;
 };
 
-/// All `snap-*.bin` files in `dir`, ascending by seq. Missing directory
+/// Parses a non-empty run of decimal digits into `*out`. False — with
+/// `*out` untouched — on any other character and on a value above
+/// 2^64 - 1, which a digit-by-digit accumulation would silently wrap.
+bool ParseDecimalU64(std::string_view text, std::uint64_t* out);
+
+/// All `snap-<digits>.bin` files in `dir`, ascending by seq. Names whose
+/// digits do not parse as a 64-bit seq are skipped. Missing directory
 /// yields an empty list.
 std::vector<SnapshotEntry> ListSnapshots(const std::string& dir);
 

@@ -340,14 +340,7 @@ void Platform::CommitBatch(StepOutput&& step) {
       store_.Add(std::move(pending.record));
       continue;
     }
-    obs::LineageRecordInfo info;
-    info.id = pending.record.id.value();
-    info.vantage = pending.record.vantage_pop;
-    info.intent = static_cast<std::uint8_t>(pending.record.intent);
-    info.attempts = static_cast<std::uint8_t>(
-        std::min<std::uint32_t>(pending.record.attempts, 255));
-    info.fault_mask = pending.fault_mask;
-    info.copies = pending.duplicate ? 2 : 1;
+    obs::LineageRecordInfo info = LineageInfoOf(pending);
     // Duplicate copies share id and content, so one verdict covers
     // both Add() calls.
     bool archived = false;
@@ -392,9 +385,22 @@ void Platform::RestoreStreamState(const StreamState& state) {
   }
 }
 
+obs::LineageRecordInfo LineageInfoOf(const PendingRecord& pending) {
+  obs::LineageRecordInfo info;
+  info.id = pending.record.id.value();
+  info.vantage = pending.record.vantage_pop;
+  info.intent = static_cast<std::uint8_t>(pending.record.intent);
+  info.attempts = static_cast<std::uint8_t>(
+      std::min<std::uint32_t>(pending.record.attempts, 255));
+  info.fault_mask = pending.fault_mask;
+  info.copies = pending.duplicate ? 2 : 1;
+  return info;
+}
+
+namespace {
+
 void EmitStreamHeartbeat(std::uint64_t committed_steps,
-                         std::uint64_t committed_records,
-                         std::size_t live_queue_depth, std::size_t every) {
+                         std::uint64_t committed_records, std::size_t every) {
   SISYPHUS_METRIC_GAUGE("measure.stream.records_ingested",
                         static_cast<double>(committed_records));
   SISYPHUS_METRIC_GAUGE("measure.stream.journal_high_water",
@@ -402,10 +408,10 @@ void EmitStreamHeartbeat(std::uint64_t committed_steps,
   SISYPHUS_METRIC_GAUGE("measure.stream.queue_depth", 0.0);
   if (every == 0 || committed_steps % every != 0) return;
   core::LogLine(core::LogLevel::kInfo, "stream heartbeat",
-                {{"step", committed_steps},
-                 {"records", committed_records},
-                 {"queue_depth", static_cast<std::uint64_t>(live_queue_depth)}});
+                {{"step", committed_steps}, {"records", committed_records}});
 }
+
+}  // namespace
 
 void DeclareStreamTelemetrySeries() {
   if (!obs::Timeline::enabled()) return;
@@ -424,11 +430,12 @@ void DeclareStreamTelemetrySeries() {
 
 void EmitStepTelemetry(std::uint64_t committed_steps,
                        std::uint64_t committed_records,
-                       std::size_t live_queue_depth, std::size_t every,
+                       std::size_t /*live_queue_depth*/, std::size_t every,
                        const StreamingCampaign* campaign,
                        bool ingest_sampled_elsewhere) {
-  EmitStreamHeartbeat(committed_steps, committed_records, live_queue_depth,
-                      every);
+  SISYPHUS_REQUIRE(!ingest_sampled_elsewhere,
+                   "EmitStepTelemetry: every step is sampled here");
+  EmitStreamHeartbeat(committed_steps, committed_records, every);
   if (!obs::Timeline::enabled()) return;
   obs::Timeline& timeline = obs::Timeline::Global();
   const obs::Registry& registry = obs::Registry::Global();
@@ -458,28 +465,17 @@ void EmitStepTelemetry(std::uint64_t committed_steps,
     timeline.SampleCounter(committed_steps, timeline.DeclareCounter(name),
                            registry.CounterValue(name));
   }
-  timeline.ClosePhase(committed_steps, obs::Timeline::Phase::kProduce);
-  if (ingest_sampled_elsewhere) return;
   if (campaign != nullptr) {
-    SampleTimelineIngest(committed_steps, *campaign);
-  } else {
-    timeline.ClosePhase(committed_steps, obs::Timeline::Phase::kIngest);
+    const obs::LevelShiftConfig shift;
+    campaign->panel_builder().VisitRunningMeans(
+        [&](std::string_view unit, std::uint64_t count, double sum) {
+          std::string name = "rtt.mean.";
+          name.append(unit);
+          const std::uint32_t id = timeline.DeclareRunningMean(name, &shift);
+          timeline.SampleRunningMean(committed_steps, id, count, sum);
+        });
   }
-}
-
-void SampleTimelineIngest(std::uint64_t step,
-                          const StreamingCampaign& campaign) {
-  if (!obs::Timeline::enabled()) return;
-  obs::Timeline& timeline = obs::Timeline::Global();
-  const obs::LevelShiftConfig shift;
-  campaign.panel_builder().VisitRunningMeans(
-      [&](std::string_view unit, std::uint64_t count, double sum) {
-        std::string name = "rtt.mean.";
-        name.append(unit);
-        const std::uint32_t id = timeline.DeclareRunningMean(name, &shift);
-        timeline.SampleRunningMean(step, id, count, sum);
-      });
-  timeline.ClosePhase(step, obs::Timeline::Phase::kIngest);
+  timeline.CommitStep(committed_steps);
 }
 
 void Platform::RunLoop(core::SimTime until, core::Rng& rng,
@@ -564,19 +560,6 @@ void StreamingCampaign::IngestBatch(const std::vector<PendingRecord>& batch) {
   ingested_ += batch.size();
 }
 
-void StreamingCampaign::IngestBatchSerial(
-    const std::vector<PendingRecord>& batch) {
-  const UnitGrouping grouping = GroupByUnit(batch);
-  // Same shard-index order the pool replays lineage buffers in, minus the
-  // pool. Used by the pipelined consumer thread, which must not carve a
-  // nested pool region of its own.
-  for (std::size_t s = 0; s < store_.shard_count(); ++s) {
-    IngestShard(s, batch, grouping);
-  }
-  ++batches_;
-  ingested_ += batch.size();
-}
-
 void StreamingCampaign::IngestShard(std::size_t shard,
                                     const std::vector<PendingRecord>& batch,
                                     const UnitGrouping& grouping) {
@@ -594,14 +577,7 @@ void StreamingCampaign::IngestShard(std::size_t shard,
     const bool archived =
         store_.Append(shard, unit, pending.record) || archived_first;
     if (lineage) {
-      obs::LineageRecordInfo info;
-      info.id = pending.record.id.value();
-      info.vantage = pending.record.vantage_pop;
-      info.intent = static_cast<std::uint8_t>(pending.record.intent);
-      info.attempts = static_cast<std::uint8_t>(
-          std::min<std::uint32_t>(pending.record.attempts, 255));
-      info.fault_mask = pending.fault_mask;
-      info.copies = pending.duplicate ? 2 : 1;
+      obs::LineageRecordInfo info = LineageInfoOf(pending);
       info.archived = archived;
       obs::Lineage::Global().RecordEmitted(info);
     }

@@ -26,6 +26,7 @@
 #include "measure/speedtest.h"
 #include "measure/store.h"
 #include "netsim/simulator.h"
+#include "obs/lineage.h"
 
 namespace sisyphus::measure {
 
@@ -122,14 +123,6 @@ class StreamingCampaign {
   /// metrics/lineage the batch path records.
   void IngestBatch(const std::vector<PendingRecord>& batch);
 
-  /// Serial variant of IngestBatch: identical verdicts, metrics, lineage,
-  /// and panel folds, but shards are walked in order on the calling thread
-  /// with no pool region. This is the pipelined-consumer path (DESIGN.md
-  /// §11): the consumer thread must not open parallel regions of its own,
-  /// and serial shard order equals the pool's index-ordered replay, so the
-  /// artifacts stay byte-identical either way.
-  void IngestBatchSerial(const std::vector<PendingRecord>& batch);
-
   /// Assembles the panel from the running cell aggregates (serial; call
   /// after the campaign ends).
   Panel FinalizePanel() const { return panel_.Finalize(); }
@@ -156,9 +149,8 @@ class StreamingCampaign {
   };
   UnitGrouping GroupByUnit(const std::vector<PendingRecord>& batch) const;
 
-  /// Shared per-shard ingest body: one shard's slice of a batch, applied
-  /// on whatever thread owns the shard for this batch (a pool task or the
-  /// serial consumer).
+  /// Per-shard ingest body: one shard's slice of a batch, applied by the
+  /// pool task that owns the shard for this batch.
   void IngestShard(std::size_t shard, const std::vector<PendingRecord>& batch,
                    const UnitGrouping& grouping);
 
@@ -325,51 +317,35 @@ class Platform {
   FaultInjector* injector_ = nullptr;
 };
 
-/// Streaming telemetry heartbeat, shared by the platform step loop (batch
-/// and streaming branches) and the durable service's step loop so the
-/// gauges agree across every execution path. Every call refreshes the
-/// measure.stream.{records_ingested,journal_high_water,queue_depth}
-/// gauges with values that are pure functions of the committed step
-/// stream (queue_depth is always 0 at a step boundary — a live depth
-/// would leak scheduling into metrics.json and break batch/stream
-/// parity). Every `every` steps it additionally emits an info-level
-/// progress line, where `live_queue_depth` (the pipelined consumer's
-/// backlog, timing-dependent) is allowed to appear because log lines are
-/// not part of the artifact contract.
-void EmitStreamHeartbeat(std::uint64_t committed_steps,
-                         std::uint64_t committed_records,
-                         std::size_t live_queue_depth, std::size_t every);
+/// Lineage facts of a pending record, before its ingest verdict:
+/// attempts clamped to the ledger's 255, and two delivered copies for a
+/// duplicate delivery. `archived` is left false for the caller to set.
+obs::LineageRecordInfo LineageInfoOf(const PendingRecord& pending);
 
-/// Step-boundary telemetry: the heartbeat above plus the timeline sample
-/// for this committed step (DESIGN.md §15). Produce-phase series — stream
-/// counters and the netsim.bgp.* reconvergence counters, all pure
-/// functions of the committed step stream — are sampled and the produce
-/// phase closed. The ingest phase is then closed too: with the running
-/// means from `campaign` when it is non-null (batch-path callers pass
-/// null: no panel builder, so no RTT series), or empty — unless
-/// `ingest_sampled_elsewhere` is set, which the pipelined durable loop
-/// uses because its consumer thread closes the ingest phase itself via
-/// SampleTimelineIngest after the step's batch lands.
+/// Step-boundary telemetry, shared by the platform step loop (batch and
+/// streaming branches) and the durable service's step loop so the gauges
+/// agree across every execution path. Every call refreshes the
+/// measure.stream.{records_ingested,journal_high_water,queue_depth} gauges
+/// with values that are pure functions of the committed step stream
+/// (queue_depth is always 0: no loop queues steps), and every `every`
+/// steps it logs an info-level heartbeat line. Then it samples the
+/// timeline for this step (DESIGN.md §15) — the stream counters and the
+/// netsim.bgp.* reconvergence counters, then, when `campaign` is
+/// non-null, every panel unit's running RTT mean (series
+/// `rtt.mean.<unit>`, level-shift detector attached; batch-path callers
+/// pass null: no panel builder) — and commits the step. Call once per
+/// step, after the step's batch has been ingested.
+/// `live_queue_depth` is unused and `ingest_sampled_elsewhere` must be
+/// false; both remain only for callers not yet updated.
 void EmitStepTelemetry(std::uint64_t committed_steps,
                        std::uint64_t committed_records,
                        std::size_t live_queue_depth, std::size_t every,
                        const StreamingCampaign* campaign,
                        bool ingest_sampled_elsewhere);
 
-/// Samples every panel unit's running RTT mean into the timeline (series
-/// `rtt.mean.<unit>`, level-shift detector attached) and closes the
-/// step's ingest phase. Call exactly once per committed step, after the
-/// step's batch has been ingested; in the pipelined durable loop this
-/// runs on the consumer thread before the step is marked done, so
-/// quiesce/snapshot points never see a half-sampled step.
-void SampleTimelineIngest(std::uint64_t step,
-                          const StreamingCampaign& campaign);
-
-/// Declares the fixed produce-phase series (stream counters + netsim.bgp
-/// reconvergence counters) up front. Step loops call this before their
-/// first step so series ids are pinned before the pipelined consumer can
-/// declare its first rtt.mean.* series — otherwise id assignment (and so
-/// the artifact bytes) would depend on which thread sampled first.
+/// Declares the fixed stream and netsim.bgp series (idempotent, in the
+/// order EmitStepTelemetry samples them). Step loops call this before
+/// their first step, so the timeline lists the series from the start.
 void DeclareStreamTelemetrySeries();
 
 }  // namespace sisyphus::measure

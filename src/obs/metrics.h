@@ -63,10 +63,11 @@ class Counter {
 
  private:
   std::string name_;
-  // Relaxed atomic: increments commute, so concurrent producer/consumer
-  // threads in the pipelined ingest mode (DESIGN.md §11) still yield a
-  // deterministic total. Everything else in the registry stays
-  // single-writer via the capture/replay path.
+  // Every writer in the program is single-threaded: pool tasks capture
+  // their writes and the region's owner replays them in task order. The
+  // relaxed atomic costs nothing on that path and keeps a counter bumped
+  // from a thread outside the pool race-free and, because increments
+  // commute, deterministic in total.
   std::atomic<std::uint64_t> value_{0};
 };
 

@@ -91,7 +91,8 @@ void Timeline::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   series_.clear();
   by_name_.clear();
-  pending_.clear();
+  inflight_.clear();
+  inflight_step_ = 0;
   events_.clear();
   committed_step_ = 0;
   first_step_ = 0;
@@ -148,76 +149,48 @@ std::uint32_t Timeline::DeclareRunningMean(std::string_view name,
                        shift, nullptr);
 }
 
-std::uint64_t Timeline::AbsoluteStepLocked(std::uint64_t step) {
+bool Timeline::OpenStepLocked(std::uint64_t step) {
   std::uint64_t abs = step + step_offset_;
-  if (abs <= committed_step_ && pending_.empty()) {
+  if (abs <= committed_step_ && inflight_step_ == 0) {
     // A step at or below the last commit with nothing in flight means a
     // new campaign started in this process: offset it to stay monotone.
     step_offset_ = committed_step_ - step + 1;
     abs = step + step_offset_;
   }
-  return abs;
+  if (abs <= committed_step_) return false;
+  SISYPHUS_REQUIRE(inflight_step_ == 0 || abs == inflight_step_,
+                   "Timeline: a sample for a later step before CommitStep");
+  SISYPHUS_REQUIRE(committed_step_ == 0 || abs == committed_step_ + 1,
+                   "Timeline: non-contiguous step commit");
+  inflight_step_ = abs;
+  return true;
 }
 
-Timeline::PendingStep& Timeline::PendingLocked(std::uint64_t abs_step) {
-  return pending_[abs_step];
+void Timeline::SampleLocked(std::uint64_t step, std::uint32_t series,
+                            SampleValue value) {
+  if (!OpenStepLocked(step) || series >= series_.size()) return;
+  inflight_[series] = value;
 }
 
 void Timeline::SampleCounter(std::uint64_t step, std::uint32_t series,
                              std::uint64_t value) {
   if (!enabled()) return;
   std::lock_guard<std::mutex> lock(mu_);
-  const std::uint64_t abs = AbsoluteStepLocked(step);
-  if (abs <= committed_step_ || series >= series_.size()) return;
-  PendingLocked(abs).samples[series] = SampleValue{value, 0.0};
+  SampleLocked(step, series, SampleValue{value, 0.0});
 }
 
 void Timeline::SampleGauge(std::uint64_t step, std::uint32_t series,
                            double value) {
   if (!enabled()) return;
   std::lock_guard<std::mutex> lock(mu_);
-  const std::uint64_t abs = AbsoluteStepLocked(step);
-  if (abs <= committed_step_ || series >= series_.size()) return;
-  PendingLocked(abs).samples[series] = SampleValue{0, value};
+  SampleLocked(step, series, SampleValue{0, value});
 }
 
 void Timeline::SampleRunningMean(std::uint64_t step, std::uint32_t series,
                                  std::uint64_t count, double sum) {
   if (!enabled()) return;
   std::lock_guard<std::mutex> lock(mu_);
-  const std::uint64_t abs = AbsoluteStepLocked(step);
-  if (abs <= committed_step_ || series >= series_.size()) return;
-  PendingLocked(abs).samples[series] = SampleValue{count, sum};
-}
-
-void Timeline::ClosePhase(std::uint64_t step, Phase phase) {
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::uint64_t abs = AbsoluteStepLocked(step);
-  if (abs <= committed_step_) return;
-  PendingStep& pending = PendingLocked(abs);
-  if (phase == Phase::kProduce) {
-    pending.produce_closed = true;
-  } else {
-    pending.ingest_closed = true;
-  }
-  CommitReadyLocked();
-}
-
-void Timeline::CommitReadyLocked() {
-  while (!pending_.empty()) {
-    auto front = pending_.begin();
-    if (!front->second.produce_closed || !front->second.ingest_closed) {
-      return;
-    }
-    // Steps arrive sequentially, so the smallest both-phases-closed entry
-    // is always the next step in order.
-    SISYPHUS_REQUIRE(
-        committed_step_ == 0 || front->first == committed_step_ + 1,
-        "Timeline: non-contiguous step commit");
-    CommitStepLocked(front->first, front->second);
-    pending_.erase(front);
-  }
+  SampleLocked(step, series, SampleValue{count, sum});
 }
 
 void Timeline::RunLevelShiftLocked(std::uint64_t abs_step, std::uint32_t id,
@@ -257,10 +230,14 @@ void Timeline::RunLevelShiftLocked(std::uint64_t abs_step, std::uint32_t id,
   ++series.det_n;
 }
 
-void Timeline::CommitStepLocked(std::uint64_t abs_step, PendingStep& pending) {
-  // samples is an ordered map, so detector evaluation (and therefore event
-  // order within the step) is by ascending series id.
-  for (const auto& [id, sample] : pending.samples) {
+void Timeline::CommitStep(std::uint64_t step) {
+  if (!enabled()) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!OpenStepLocked(step)) return;
+  const std::uint64_t abs_step = inflight_step_;
+  // inflight_ is an ordered map, so detector evaluation (and therefore
+  // event order within the step) is by ascending series id.
+  for (const auto& [id, sample] : inflight_) {
     Series& series = series_[id];
     if (series.first_step == 0) series.first_step = abs_step;
     switch (series.kind) {
@@ -323,7 +300,7 @@ void Timeline::CommitStepLocked(std::uint64_t abs_step, PendingStep& pending) {
   for (std::size_t id = 0; id < series_.size(); ++id) {
     Series& series = series_[id];
     if (series.first_step == 0) continue;
-    if (pending.samples.count(static_cast<std::uint32_t>(id)) != 0) continue;
+    if (inflight_.count(static_cast<std::uint32_t>(id)) != 0) continue;
     if (series.kind == SeriesKind::kCounter) {
       AppendVarint(series.data, ZigZag(0));
     } else {
@@ -333,6 +310,8 @@ void Timeline::CommitStepLocked(std::uint64_t abs_step, PendingStep& pending) {
   }
   if (first_step_ == 0) first_step_ = abs_step;
   committed_step_ = abs_step;
+  inflight_.clear();
+  inflight_step_ = 0;
 }
 
 Timeline::Summary Timeline::GetSummary() const {
@@ -421,7 +400,7 @@ std::string Timeline::BuildArtifact() const {
 
 void Timeline::Save(core::binio::Writer& w) const {
   std::lock_guard<std::mutex> lock(mu_);
-  SISYPHUS_REQUIRE(pending_.empty(),
+  SISYPHUS_REQUIRE(inflight_step_ == 0,
                    "Timeline::Save: partial step in flight at snapshot");
   w.PutU64(committed_step_);
   w.PutU64(first_step_);
@@ -465,7 +444,8 @@ bool Timeline::Load(core::binio::Reader& r) {
   std::lock_guard<std::mutex> lock(mu_);
   series_.clear();
   by_name_.clear();
-  pending_.clear();
+  inflight_.clear();
+  inflight_step_ = 0;
   events_.clear();
   committed_step_ = r.GetU64();
   first_step_ = r.GetU64();

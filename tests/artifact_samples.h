@@ -100,14 +100,13 @@ inline void BuildTimeline(Timeline& timeline) {
       timeline.SampleCounter(step, counter, step * step / 4);
       timeline.SampleGauge(step, gauge, step <= 20 ? 10.0 : 16.0);
     }
-    timeline.ClosePhase(step, Timeline::Phase::kProduce);
     if (step == 5) mean = timeline.DeclareRunningMean("g.mean", &shift);
     if (step >= 5) {
       count += 2;
       sum += step <= 18 ? 40.0 : 62.0;
       timeline.SampleRunningMean(step, mean, count, sum);
     }
-    timeline.ClosePhase(step, Timeline::Phase::kIngest);
+    timeline.CommitStep(step);
   }
 }
 

@@ -13,7 +13,7 @@
 //     disagrees with the snapshot (the journal is the store's log there);
 //   * the supervisor names the step whose ingest failed, and a resume
 //     recovers that step from the journal;
-//   * shed-on-overload and the pipelined queue preserve byte-identity;
+//   * shed-on-overload preserves byte-identity;
 //   * SIGTERM interrupts cleanly and the run resumes to the same bytes.
 //
 // The chaos ctest fixtures and the CI chaos-smoke job enforce the same
@@ -85,7 +85,6 @@ struct RunSpec {
   std::uint64_t snapshot_every = 5;  ///< deliberately coprime with nothing
   std::uint64_t fsync_every = 3;
   std::uint64_t shed_max = 0;
-  bool pipelined = false;
   std::function<void(std::uint64_t)> ingest_fault;
 };
 
@@ -144,8 +143,6 @@ RunResult RunDurable(const RunSpec& spec) {
   durable_options.snapshot_every = spec.snapshot_every;
   durable_options.fsync_every = spec.fsync_every;
   durable_options.max_step_records = spec.shed_max;
-  durable_options.pipelined = spec.pipelined;
-  durable_options.queue_capacity = 2;
   durable_options.stop_after_steps = spec.stop_after;
   durable_options.ingest_fault = spec.ingest_fault;
 
@@ -414,36 +411,32 @@ TEST_F(DurableStreamTest, JournalCorruptionBeforeTailFailsLoudly) {
 }
 
 // The supervisor: a failing ingest step surfaces as a deterministic error
-// naming the step — serial and pipelined — and because the step was
-// journaled before it failed, a resume recovers it.
+// naming the step, and because the step was journaled before it failed, a
+// resume recovers it.
 TEST_F(DurableStreamTest, SupervisorNamesFailingStepAndResumeRecovers) {
   const Artifacts reference = Reference();
 
-  for (bool pipelined : {false, true}) {
-    const std::string dir = MakeDir("durable-supervise");
-    RunSpec faulty;
-    faulty.dir = dir;
-    faulty.pipelined = pipelined;
-    faulty.ingest_fault = [](std::uint64_t seq) {
-      if (seq == 5) throw std::runtime_error("injected ingest fault");
-    };
-    const RunResult failed = RunDurable(faulty);
-    ASSERT_FALSE(failed.ok) << (pipelined ? "pipelined" : "serial");
-    EXPECT_NE(failed.error.find("failed at step 5"), std::string::npos)
-        << failed.error;
-    EXPECT_NE(failed.error.find("injected ingest fault"), std::string::npos)
-        << failed.error;
+  const std::string dir = MakeDir("durable-supervise");
+  RunSpec faulty;
+  faulty.dir = dir;
+  faulty.ingest_fault = [](std::uint64_t seq) {
+    if (seq == 5) throw std::runtime_error("injected ingest fault");
+  };
+  const RunResult failed = RunDurable(faulty);
+  ASSERT_FALSE(failed.ok);
+  EXPECT_NE(failed.error.find("failed at step 5"), std::string::npos)
+      << failed.error;
+  EXPECT_NE(failed.error.find("injected ingest fault"), std::string::npos)
+      << failed.error;
 
-    RunSpec resume;
-    resume.dir = dir;
-    resume.resume = true;
-    const RunResult resumed = RunDurable(resume);
-    ASSERT_TRUE(resumed.ok) << resumed.error;
-    ASSERT_EQ(resumed.stats.outcome, durable::RunOutcome::kCompleted);
-    ExpectIdentical(resumed.artifacts, reference,
-                    std::string("resume after supervised failure, ") +
-                        (pipelined ? "pipelined" : "serial"));
-  }
+  RunSpec resume;
+  resume.dir = dir;
+  resume.resume = true;
+  const RunResult resumed = RunDurable(resume);
+  ASSERT_TRUE(resumed.ok) << resumed.error;
+  ASSERT_EQ(resumed.stats.outcome, durable::RunOutcome::kCompleted);
+  ExpectIdentical(resumed.artifacts, reference,
+                  "resume after supervised failure");
 }
 
 // Shed-on-overload: deterministic, lineage-conserving (shed records get a
@@ -485,20 +478,6 @@ TEST_F(DurableStreamTest, ShedOverloadIsDeterministicAcrossResume) {
   ASSERT_EQ(resumed.stats.outcome, durable::RunOutcome::kCompleted);
   ExpectIdentical(resumed.artifacts, reference.artifacts,
                   "shed crash/resume at 8 threads");
-}
-
-// Backpressure changes timing only: the pipelined bounded-queue path emits
-// the same bytes as the serial path.
-TEST_F(DurableStreamTest, PipelinedQueueMatchesSerial) {
-  const Artifacts reference = Reference();
-  RunSpec pipelined;
-  pipelined.dir = MakeDir("durable-pipe");
-  pipelined.pipelined = true;
-  pipelined.threads = 8;
-  const RunResult run = RunDurable(pipelined);
-  ASSERT_TRUE(run.ok) << run.error;
-  ASSERT_EQ(run.stats.outcome, durable::RunOutcome::kCompleted);
-  ExpectIdentical(run.artifacts, reference, "pipelined vs serial");
 }
 
 // SIGTERM → clean interruption (journal flushed, final snapshot written),
@@ -543,8 +522,11 @@ void ForgeJournalFrame(const std::string& dir, std::uint64_t seq,
   auto decoded = durable::DecodeStep(scan.frames[seq - 1].payload);
   ASSERT_TRUE(decoded.ok()) << decoded.error().message();
   edit(decoded.value());
-  scan.frames[seq - 1].payload = durable::EncodeStep(
+  const std::string forged = durable::EncodeStep(
       decoded.value().step, decoded.value().next_record_id_after);
+  scan.frames[seq - 1].payload = forged;
+  // The writer truncates the file the scan's bytes were read from; the
+  // frames view the scan's own copy, so they stay readable.
   durable::Journal journal;
   ASSERT_TRUE(journal.Open(path, 0, 1));
   for (const durable::JournalFrame& frame : scan.frames) {
@@ -639,6 +621,18 @@ TEST(DurableJournalTest, ScanDistinguishesTornTailFromCorruption) {
   ASSERT_EQ(clean.frames.size(), 2u);
   EXPECT_EQ(clean.frames[0].payload, "alpha");
   EXPECT_EQ(clean.frames[1].payload, "bravo");
+  // One copy of the file: the frames view the scan's buffer, and moving
+  // the scan keeps them valid.
+  const char* buffer = clean.bytes.data();
+  EXPECT_EQ(clean.bytes.size(), fs::file_size(path));
+  for (const durable::JournalFrame& frame : clean.frames) {
+    EXPECT_GE(frame.payload.data(), buffer);
+    EXPECT_LE(frame.payload.data() + frame.payload.size(),
+              buffer + clean.bytes.size());
+  }
+  const durable::JournalScan moved = std::move(clean);
+  EXPECT_EQ(moved.frames[1].payload, "bravo");
+  clean = durable::ScanJournal(path);
   EXPECT_FALSE(clean.torn_tail);
   EXPECT_FALSE(clean.corrupt);
   EXPECT_EQ(clean.valid_bytes, fs::file_size(path));
@@ -799,6 +793,29 @@ TEST(DurableSnapshotTest, RoundTripAndCorruptionDetection) {
   EXPECT_FALSE(bad.diagnostic.empty());
 }
 
+// A seq above 2^64 - 1 must not wrap into a small one (which could make a
+// stray file look like the newest snapshot, or the oldest to prune).
+TEST(DurableSnapshotTest, ListSkipsSeqsBeyond64Bits) {
+  const std::string dir = MakeDir("durable-snapwide");
+  ASSERT_TRUE(durable::WriteSnapshotFile(durable::SnapshotPath(dir, 7), "p"));
+  // 2^64 + 1 in 21 digits: a wrapping parse would read it as seq 1.
+  std::ofstream(fs::path(dir) / "snap-000018446744073709551617.bin") << "x";
+  std::ofstream(fs::path(dir) / "snap-18446744073709551617.bin") << "x";
+  const auto listed = durable::ListSnapshots(dir);
+  ASSERT_EQ(listed.size(), 1u);
+  EXPECT_EQ(listed[0].seq, 7u);
+
+  std::uint64_t value = 0;
+  EXPECT_TRUE(durable::ParseDecimalU64("18446744073709551615", &value));
+  EXPECT_EQ(value, 18446744073709551615ull);
+  EXPECT_FALSE(durable::ParseDecimalU64("18446744073709551616", &value));
+  EXPECT_FALSE(durable::ParseDecimalU64("", &value));
+  EXPECT_FALSE(durable::ParseDecimalU64("+1", &value));
+  EXPECT_FALSE(durable::ParseDecimalU64("-1", &value));
+  EXPECT_FALSE(durable::ParseDecimalU64("1 ", &value));
+  EXPECT_EQ(value, 18446744073709551615ull);  // untouched by a failure
+}
+
 TEST(DurableSnapshotTest, PruneKeepsNewest) {
   const std::string dir = MakeDir("durable-snapprune");
   for (std::uint64_t seq : {std::uint64_t{1}, std::uint64_t{2},
@@ -846,6 +863,13 @@ TEST(ChaosSpecTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(durable::ParseChaosSpec("kill-after=x").ok());
   EXPECT_FALSE(durable::ParseChaosSpec("corrupt=panel").ok());
   EXPECT_FALSE(durable::ParseChaosSpec("bogus-knob=1").ok());
+  // 2^64 + 1 would wrap to 1 and kill after the first step.
+  EXPECT_FALSE(
+      durable::ParseChaosSpec("kill-after=18446744073709551617").ok());
+  EXPECT_FALSE(durable::ParseChaosSpec("seed=18446744073709551617").ok());
+  const auto widest = durable::ParseChaosSpec("kill-after=18446744073709551615");
+  ASSERT_TRUE(widest.ok());
+  EXPECT_EQ(widest.value().kill_after_steps, 18446744073709551615ull);
 }
 
 }  // namespace

@@ -88,7 +88,7 @@ void ForgeJournalIntent(const fs::path& src, const fs::path& out) {
   }
   bool forged = false;
   for (const durable::JournalFrame& frame : scan.frames) {
-    std::string payload = frame.payload;
+    std::string payload(frame.payload);
     if (!forged) {
       auto decoded = durable::DecodeStep(payload);
       if (decoded.ok() && !decoded.value().step.records.empty()) {

@@ -1,6 +1,6 @@
 // Tests for the deterministic telemetry timeline (src/obs/timeline,
 // DESIGN.md §15): detector semantics against hand-computed recurrences,
-// dense-fill and phase-order invariants, snapshot Save/Load continuation,
+// dense-fill and in-order commit invariants, snapshot Save/Load continuation,
 // artifact framing rejection of truncation/corruption (the audit.bin
 // contract), and the two byte-identity properties the artifact exists
 // for — 1-vs-8-thread identity of a full streaming campaign's
@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -57,19 +58,17 @@ class TimelineTest : public ::testing::Test {
   bool timeline_was_enabled_ = false;
 };
 
-/// Commits one single-phase step carrying one gauge sample.
+/// Commits one step carrying one gauge sample.
 void GaugeStep(Timeline& timeline, std::uint64_t step, std::uint32_t id,
                double value) {
   timeline.SampleGauge(step, id, value);
-  timeline.ClosePhase(step, Timeline::Phase::kProduce);
-  timeline.ClosePhase(step, Timeline::Phase::kIngest);
+  timeline.CommitStep(step);
 }
 
 void CounterStep(Timeline& timeline, std::uint64_t step, std::uint32_t id,
                  std::uint64_t value) {
   timeline.SampleCounter(step, id, value);
-  timeline.ClosePhase(step, Timeline::Phase::kProduce);
-  timeline.ClosePhase(step, Timeline::Phase::kIngest);
+  timeline.CommitStep(step);
 }
 
 // ---------------------------------------------------------------------------
@@ -144,8 +143,7 @@ TEST_F(TimelineTest, QuietSeriesFiresNothing) {
   for (std::uint64_t step = 1; step <= 100; ++step) {
     timeline.SampleGauge(step, flat, 10.0);
     timeline.SampleGauge(step, jitter, step % 2 == 0 ? 10.2 : 9.8);
-    timeline.ClosePhase(step, Timeline::Phase::kProduce);
-    timeline.ClosePhase(step, Timeline::Phase::kIngest);
+    timeline.CommitStep(step);
   }
   EXPECT_TRUE(timeline.Events().empty());
 }
@@ -194,8 +192,7 @@ TEST_F(TimelineTest, RunningMeanDetectorSeesIncrementMean) {
     ++count;
     sum += step <= 20 ? 10.0 : 16.0;
     timeline.SampleRunningMean(step, id, count, sum);
-    timeline.ClosePhase(step, Timeline::Phase::kProduce);
-    timeline.ClosePhase(step, Timeline::Phase::kIngest);
+    timeline.CommitStep(step);
   }
 
   const std::vector<DetectionEvent> events = timeline.Events();
@@ -233,8 +230,7 @@ TEST_F(TimelineTest, DenseFillRepeatsLastValue) {
       timeline.SampleGauge(step, gauge, static_cast<double>(step));
     }
     if (step >= 4) timeline.SampleGauge(step, late, 99.0);
-    timeline.ClosePhase(step, Timeline::Phase::kProduce);
-    timeline.ClosePhase(step, Timeline::Phase::kIngest);
+    timeline.CommitStep(step);
   }
 
   TimelineReader reader;
@@ -261,31 +257,22 @@ TEST_F(TimelineTest, DenseFillRepeatsLastValue) {
   EXPECT_EQ(at.size(), 3u);
 }
 
-// The pipelined durable loop closes kIngest on a consumer thread, so
-// phases for consecutive steps can close out of order; the committed
-// bytes must not care.
-TEST_F(TimelineTest, PhaseCloseOrderDoesNotChangeTheBytes) {
-  const auto run = [](bool ingest_lags) {
-    Timeline timeline;
-    const std::uint32_t counter = timeline.DeclareCounter("test.counter");
-    const std::uint32_t mean = timeline.DeclareRunningMean("test.mean");
-    for (std::uint64_t step = 1; step <= 12; ++step) {
-      timeline.SampleCounter(step, counter, step * 3);
-      timeline.ClosePhase(step, Timeline::Phase::kProduce);
-      if (!ingest_lags) {
-        timeline.SampleRunningMean(step, mean, step, 2.5 * step);
-        timeline.ClosePhase(step, Timeline::Phase::kIngest);
-      } else if (step % 3 == 0) {
-        // The consumer catches up three steps at a time.
-        for (std::uint64_t lagged = step - 2; lagged <= step; ++lagged) {
-          timeline.SampleRunningMean(lagged, mean, lagged, 2.5 * lagged);
-          timeline.ClosePhase(lagged, Timeline::Phase::kIngest);
-        }
-      }
-    }
-    return timeline.BuildArtifact();
-  };
-  EXPECT_EQ(run(/*ingest_lags=*/false), run(/*ingest_lags=*/true));
+// One step is in flight at a time and steps commit in order: a sample for
+// the next step before CommitStep, or a skipped step, is a caller bug.
+TEST_F(TimelineTest, StepsCommitOneAtATimeInOrder) {
+  if (!Timeline::enabled()) GTEST_SKIP() << "timeline compiled out";
+  Timeline timeline;
+  const std::uint32_t id = timeline.DeclareCounter("test.counter");
+  timeline.SampleCounter(1, id, 1);
+  EXPECT_THROW(timeline.SampleCounter(2, id, 2), std::logic_error);
+  timeline.CommitStep(1);
+  EXPECT_THROW(timeline.CommitStep(3), std::logic_error);
+  CounterStep(timeline, 2, id, 2);
+  EXPECT_EQ(timeline.GetSummary().steps, 2u);
+  // Every step is sampled where it commits; nothing samples elsewhere.
+  EXPECT_THROW(measure::EmitStepTelemetry(3, 0, 0, 0, nullptr,
+                                          /*ingest_sampled_elsewhere=*/true),
+               std::logic_error);
 }
 
 // A second campaign in the same process restarts its step counter at 1;
@@ -375,8 +362,7 @@ std::string SmallArtifact() {
   for (std::uint64_t step = 1; step <= 16; ++step) {
     timeline.SampleCounter(step, counter, step * step);
     timeline.SampleGauge(step, gauge, step < 8 ? 1.0 : 50.0);
-    timeline.ClosePhase(step, Timeline::Phase::kProduce);
-    timeline.ClosePhase(step, Timeline::Phase::kIngest);
+    timeline.CommitStep(step);
   }
   EXPECT_FALSE(timeline.Events().empty());
   return timeline.BuildArtifact();
